@@ -356,9 +356,7 @@ def _cmd_sigma_search(args, report: _Report) -> int:
 
 def _cmd_growth(args, report: _Report) -> int:
     s = load_solution(args.solution)
-    series = growth_series(
-        s, args.length, word_budget=args.word_budget, method=args.method
-    )
+    series = growth_series(s, args.length, word_budget=args.word_budget)
     report.say(
         "series " + " ".join(map(str, series.counts)),
         counts=list(series.counts),
@@ -400,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite set-theoretic solutions of the Pentagon Equation.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sol_help = "solution file, or identity(n) / irretractable(r) / canonical(x,a,g)"
@@ -450,8 +447,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="structure-monoid growth series")
     p.add_argument("solution", help=sol_help)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "dense", "stratified"), default="auto")
-    p.add_argument("--word-budget", type=int, default=DEFAULT_WORD_BUDGET)
+    p.add_argument(
+        "--word-budget",
+        type=int,
+        default=DEFAULT_WORD_BUDGET,
+        help="most nodes (classes at length L-1 times letters) in one stratum",
+    )
 
     p = sub.add_parser("order", help="order of the table as a map on pairs")
     p.add_argument("solution", help=sol_help)

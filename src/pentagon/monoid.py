@@ -1,18 +1,12 @@
 """Structure-monoid computations: presentations, growth, rank.
 
 The defining relations identify words of equal length, so the word
-problem splits into one finite closure problem per length.  Two exact
-engines solve it:
-
-* dense: union-find over all n^ell words of a length, words encoded as
-  base-n integers (refuses lengths whose word count exceeds the budget);
-* stratified: union-find over (class at length ell-1, last letter)
-  pairs, valid because a rewrite either stays inside the prefix, where
-  the previous stratum already resolved it, or touches the boundary,
-  which the pair encoding sees directly.
-
-Both are exact and they are cross-checked against each other in the
-test suite wherever both fit in memory.
+problem splits into one finite closure problem per length.  It is solved
+stratum by stratum, with a union-find over the nodes (class at length
+ell-1, last letter).  That is exact because a rewrite either stays
+inside the prefix, where the previous stratum already resolved it, or
+touches the boundary, which the node encoding sees directly.  The same
+strata give the counts and the least word of every class.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from .analysis import idempotents
 Word = tuple[int, ...]
 
 DEFAULT_WORD_BUDGET = 1 << 24
-_AUTO_DENSE_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -91,12 +84,12 @@ def _rewrites(pres: MonoidPresentation) -> dict[tuple[int, int], list[tuple[int,
 
 
 class _UnionFind:
-    __slots__ = ("parent", "size")
+    """Union-find whose roots are the least members of their sets."""
+
+    __slots__ = ("parent",)
 
     def __init__(self, count: int):
         self.parent = array("i", range(count))
-        self.size = array("i", bytes(4 * count))
-        # sizes start at 1; bytes() zero-fills, so bump lazily in union
 
     def find(self, w: int) -> int:
         parent = self.parent
@@ -107,69 +100,33 @@ class _UnionFind:
 
     def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        sa = self.size[ra] or 1
-        sb = self.size[rb] or 1
-        if sa < sb:
-            ra, rb = rb, ra
-            sa, sb = sb, sa
-        self.parent[rb] = ra
-        self.size[ra] = sa + sb
-
-    def roots(self) -> int:
-        parent = self.parent
-        return sum(1 for w in range(len(parent)) if parent[w] == w)
+        if ra < rb:
+            self.parent[rb] = ra
+        elif rb < ra:
+            self.parent[ra] = rb
 
 
-def _dense_stratum(
-    nletters: int,
-    rewrites: dict[tuple[int, int], list[tuple[int, int]]],
-    length: int,
-) -> _UnionFind:
-    """Close the length stratum over all words, encoded base nletters."""
-    total = nletters**length
-    uf = _UnionFind(total)
-    if length < 2 or not rewrites:
-        return uf
-    pows = [nletters**k for k in range(length)]
-    for w in range(total):
-        rest = w
-        for p in range(length - 1):
-            b = rest % nletters
-            rest //= nletters
-            a = rest % nletters
-            for c, d in rewrites.get((a, b), ()):
-                uf.union(w, w + (c - a) * pows[p + 1] + (d - b) * pows[p])
-    return uf
-
-
-def _dense_counts(
+def _strata(
     pres: MonoidPresentation, length: int, word_budget: int
-) -> list[int]:
-    n = pres.generators
-    if n**length > word_budget:
-        raise BudgetError(
-            f"{n}^{length} words exceed the budget of {word_budget}"
-        )
-    rewrites = _rewrites(pres)
-    counts = [1]
-    for ell in range(1, length + 1):
-        counts.append(_dense_stratum(n, rewrites, ell).roots())
-    return counts
+) -> list[array]:
+    """Least node of each word class, for every length 0..length.
 
-
-def _stratified_counts(
-    pres: MonoidPresentation, length: int, word_budget: int
-) -> list[int]:
+    Element ell of the result lists, in class-label order, the least
+    node c * n + x of each class of length ell (node 0 for the empty
+    word at length 0).  Classes are labelled in order of their least
+    node, so by induction on ell the labels follow the lexicographic
+    order of least words, and the least node (c, x) of a class spells
+    its least word: the least word of class c at ell-1, then letter x.
+    """
+    if length < 0:
+        raise ValidationError("length must be non-negative")
     n = pres.generators
     rewrites = _rewrites(pres)
-    counts = [1]
-    if length >= 1:
-        counts.append(n)
-    q_prev = list(range(n))  # (class at ell-1) * n + letter  ->  class at ell
-    c_prev2, c_prev = 1, n
-    for _ell in range(2, length + 1):
+    strata = [array("i", [0])]
+    q_prev = array("i")  # node at ell-1  ->  class at ell-1
+    c_prev2 = 0
+    for _ell in range(1, length + 1):
+        c_prev = len(strata[-1])
         nodes = c_prev * n
         if nodes > word_budget:
             raise BudgetError(
@@ -183,53 +140,49 @@ def _stratified_counts(
                 for y in range(n):
                     for c, d in rewrites.get((x, y), ()):
                         uf.union(cx * n + y, q_prev[base + c] * n + d)
-        labels: dict[int, int] = {}
-        q_new = [0] * nodes
+        # a non-root's parent is a smaller node of its class, labelled already
+        parent = uf.parent
+        firsts = array("i")
+        q_new = array("i", bytes(4 * nodes))
         for w in range(nodes):
-            r = uf.find(w)
-            lab = labels.get(r)
-            if lab is None:
-                lab = len(labels)
-                labels[r] = lab
-            q_new[w] = lab
-        counts.append(len(labels))
+            r = parent[w]
+            if r == w:
+                q_new[w] = len(firsts)
+                firsts.append(w)
+            else:
+                q_new[w] = q_new[r]
+        strata.append(firsts)
         q_prev = q_new
-        c_prev2, c_prev = c_prev, len(labels)
-    return counts
+        c_prev2 = c_prev
+    return strata
 
 
 def series_from_presentation(
     pres: MonoidPresentation,
     length: int,
     word_budget: int = DEFAULT_WORD_BUDGET,
-    method: str = "auto",
 ) -> GrowthSeries:
-    if length < 0:
-        raise ValidationError("length must be non-negative")
-    if method == "auto":
-        method = (
-            "dense"
-            if pres.generators**length <= _AUTO_DENSE_LIMIT
-            else "stratified"
-        )
-    if method == "dense":
-        counts = _dense_counts(pres, length, word_budget)
-    elif method == "stratified":
-        counts = _stratified_counts(pres, length, word_budget)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    return GrowthSeries(tuple(counts))
+    """Class counts of words of each length up to `length`.
+
+    `word_budget` bounds the nodes of each stratum, that is the classes
+    at length ell-1 times the generators; BudgetError when exceeded.
+    """
+    strata = _strata(pres, length, word_budget)
+    return GrowthSeries(tuple(len(firsts) for firsts in strata))
 
 
 def growth_series(
     s: SolutionTable,
     length: int,
     word_budget: int = DEFAULT_WORD_BUDGET,
-    method: str = "auto",
 ) -> GrowthSeries:
-    """Class counts of words of each length up to `length`."""
+    """Class counts of words of each length up to `length`.
+
+    `word_budget` bounds the nodes of each stratum, that is the classes
+    at length ell-1 times the carrier size; BudgetError when exceeded.
+    """
     return series_from_presentation(
-        presentation_of(s), length, word_budget=word_budget, method=method
+        presentation_of(s), length, word_budget=word_budget
     )
 
 
@@ -273,26 +226,19 @@ def estimate_growth_degree(series: GrowthSeries) -> Optional[DegreeEstimate]:
 def normal_forms(
     s: SolutionTable, length: int, word_budget: int = DEFAULT_WORD_BUDGET
 ) -> list[Word]:
-    """Lexicographically smallest word of each class of the given length."""
-    if length < 0:
-        raise ValidationError("length must be non-negative")
-    if length == 0:
-        return [()]
-    pres = presentation_of(s)
-    n = pres.generators
-    if n**length > word_budget:
-        raise BudgetError(f"{n}^{length} words exceed the budget of {word_budget}")
-    uf = _dense_stratum(n, _rewrites(pres), length)
+    """Lexicographically smallest word of each class of the given length.
+
+    The list is sorted.  `word_budget` bounds the stratum nodes as in
+    `growth_series`.
+    """
+    strata = _strata(presentation_of(s), length, word_budget)
+    n = s.size
     out: list[Word] = []
-    seen: set[int] = set()
-    for w in range(n**length):
-        r = uf.find(w)
-        if r not in seen:
-            seen.add(r)
-            letters = []
-            rest = w
-            for _ in range(length):
-                rest, letter = divmod(rest, n)
-                letters.append(letter)
-            out.append(tuple(reversed(letters)))
+    for label in range(len(strata[-1])):
+        letters = []
+        c = label
+        for firsts in reversed(strata[1:]):
+            c, letter = divmod(firsts[c], n)
+            letters.append(letter)
+        out.append(tuple(reversed(letters)))
     return out

@@ -113,6 +113,57 @@ def brute_isomorphism(s: SolutionTable, t: SolutionTable):
     return None
 
 
+def _find(parent, w):
+    while parent[w] != w:
+        parent[w] = parent[parent[w]]
+        w = parent[w]
+    return w
+
+
+def dense_stratum(s: SolutionTable, length: int) -> list:
+    """Class root of every word of a length in the structure monoid of s.
+
+    Closes all n**length words, encoded base n with the first letter most
+    significant, under x . y = theta_x(y) . (x y), that is the pair
+    s(x, y) read right to left.  Entry w of the result is the root of
+    word w; two words are equal in the monoid iff their roots are.
+    """
+    n = s.size
+    rewrites = {}
+    for (x, y), (xy, theta_xy) in as_map(s).items():
+        rewrites.setdefault((x, y), []).append((theta_xy, xy))
+    total = n**length
+    parent = list(range(total))
+    pows = [n**k for k in range(length)]
+    for w in range(total):
+        rest = w
+        for p in range(length - 1):
+            b = rest % n
+            rest //= n
+            a = rest % n
+            for c, d in rewrites[(a, b)]:
+                v = w + (c - a) * pows[p + 1] + (d - b) * pows[p]
+                ra, rb = _find(parent, w), _find(parent, v)
+                parent[ra] = rb
+    return [_find(parent, w) for w in range(total)]
+
+
+def growth_oracle(s: SolutionTable, length: int) -> tuple:
+    """Word-class counts of each length 0..length, by dense closure."""
+    return tuple(len(set(dense_stratum(s, ell))) for ell in range(length + 1))
+
+
+def normal_forms_oracle(s: SolutionTable, length: int) -> list:
+    """Least word of each class of a length, in lexicographic order."""
+    n = s.size
+    out, seen = [], set()
+    for w, root in enumerate(dense_stratum(s, length)):
+        if root not in seen:
+            seen.add(root)
+            out.append(tuple(w // n**k % n for k in reversed(range(length))))
+    return out
+
+
 def random_table(n, rng) -> SolutionTable:
     return SolutionTable(
         n,

@@ -214,9 +214,8 @@ def test_growth_command(capsys):
 
 
 def test_growth_budget(capsys):
-    code = run(
-        ["growth", "canonical(3,1,1)", "--length", "7", "--method", "dense"]
-    )
+    # identity(4) has 35 classes at length 4, so 140 nodes at length 5
+    code = run(["growth", "identity(4)", "--length", "6", "--word-budget", "100"])
     assert code == 3
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagon import (
     BudgetError,
@@ -17,8 +18,9 @@ from pentagon import (
     rank_expected,
     series_from_presentation,
 )
-from pentagon.monoid import MonoidPresentation, _dense_stratum, _rewrites
+from pentagon.monoid import MonoidPresentation
 
+import oracles
 from conftest import small_involutive_panel
 
 
@@ -65,27 +67,23 @@ def test_growth_engines_agree():
     for s in small_involutive_panel():
         if s.size > 4:
             continue
-        dense = growth_series(s, 5, method="dense")
-        strat = growth_series(s, 5, method="stratified")
-        assert dense == strat
+        assert growth_series(s, 5).counts == oracles.growth_oracle(s, 5)
     big = canonical_solution(3, 1, 1)
-    dense = growth_series(big, 3, method="dense")
-    strat = growth_series(big, 3, method="stratified")
-    assert dense == strat
+    assert growth_series(big, 3).counts == oracles.growth_oracle(big, 3)
 
 
 def test_growth_series_budget():
+    # canonical(3,1,1) has 12 classes at length 1, so 144 nodes at length 2
     with pytest.raises(BudgetError):
-        growth_series(canonical_solution(3, 1, 1), 7, method="dense")
+        growth_series(canonical_solution(3, 1, 1), 7, word_budget=143)
     with pytest.raises(BudgetError):
-        growth_series(identity_solution(4), 6, word_budget=100, method="stratified")
+        growth_series(identity_solution(4), 6, word_budget=100)
+    assert growth_series(canonical_solution(3, 1, 1), 2, word_budget=144).counts[2] > 0
 
 
 def test_growth_series_bad_arguments():
     with pytest.raises(ValidationError):
         growth_series(identity_solution(2), -1)
-    with pytest.raises(ValidationError):
-        growth_series(identity_solution(2), 3, method="magic")
 
 
 def test_rank_expected_examples():
@@ -141,14 +139,32 @@ def test_normal_forms_count_matches_series():
     for s in small_involutive_panel():
         if s.size > 4:
             continue
-        counts = growth_series(s, 4, method="dense").counts
+        counts = growth_series(s, 4).counts
         for ell in range(5):
-            assert len(normal_forms(s, ell)) == counts[ell]
+            forms = normal_forms(s, ell)
+            assert len(forms) == counts[ell]
+            assert forms == oracles.normal_forms_oracle(s, ell)
 
 
 def test_normal_forms_budget():
     with pytest.raises(BudgetError):
-        normal_forms(canonical_solution(3, 1, 1), 7)
+        normal_forms(canonical_solution(3, 1, 1), 7, word_budget=143)
+    with pytest.raises(BudgetError):
+        normal_forms(identity_solution(4), 6, word_budget=100)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    size=st.integers(1, 3),
+    length=st.integers(0, 5),
+    involution=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_growth_matches_dense_oracle_on_random_tables(size, length, involution, rng):
+    make = oracles.random_involution_table if involution else oracles.random_table
+    s = make(size, rng)
+    assert growth_series(s, length).counts == oracles.growth_oracle(s, length)
+    assert normal_forms(s, length) == oracles.normal_forms_oracle(s, length)
 
 
 def test_series_monotone_under_relation_subsets(rng):
@@ -188,18 +204,16 @@ def test_free_when_all_relations_trivial():
 def test_stratum_consistent_with_previous_length():
     # words equal at length ell-1 stay equal after appending a generator
     for s in [irretractable_solution(1), canonical_solution(2, 1, 0)]:
-        pres = presentation_of(s)
-        rw = _rewrites(pres)
-        n = pres.generators
+        n = s.size
         for ell in (2, 3, 4):
-            prev = _dense_stratum(n, rw, ell - 1)
-            cur = _dense_stratum(n, rw, ell)
+            prev = oracles.dense_stratum(s, ell - 1)
+            cur = oracles.dense_stratum(s, ell)
             for w1 in range(n ** (ell - 1)):
-                w2 = prev.find(w1)
+                w2 = prev[w1]
                 if w1 == w2:
                     continue
                 for g in range(n):
-                    assert cur.find(w1 * n + g) == cur.find(w2 * n + g)
+                    assert cur[w1 * n + g] == cur[w2 * n + g]
 
 
 def test_growth_defined_beyond_involutive_solutions():
@@ -208,11 +222,10 @@ def test_growth_defined_beyond_involutive_solutions():
 
     flip = SolutionTable.from_function(2, lambda i, j: (j, i))
     for s in (flip, group_solution(cyclic_group(4))):
-        dense = growth_series(s, 5, method="dense")
-        strat = growth_series(s, 5, method="stratified")
-        assert dense == strat
-        assert dense.counts[0] == 1
-        assert dense.counts[1] == s.size
+        counts = growth_series(s, 5).counts
+        assert counts == oracles.growth_oracle(s, 5)
+        assert counts[0] == 1
+        assert counts[1] == s.size
 
 
 def test_growth_series_on_enumerated_catalog():
