@@ -69,7 +69,6 @@ from .enumeration import (
     EnumerationReport,
     canonical_form,
     count_up_to_iso,
-    enumerate_naive,
     enumerate_pruned,
     expected_count,
 )

@@ -47,7 +47,7 @@ from .constructors import (
     sigma_search,
 )
 from .analysis import classify, find_isomorphism, is_isomorphic_invariant, retract
-from .enumeration import count_up_to_iso
+from .enumeration import count_up_to_iso, enumerate_pruned
 from .monoid import (
     DEFAULT_WORD_BUDGET,
     estimate_growth_degree,
@@ -157,6 +157,16 @@ def parse_sigma_text(text: str) -> SigmaMap:
 
 _EXPR = re.compile(r"([a-z]+)\(([0-9, ]*)\)")
 
+# Largest table an inline expression may build, in cells (pairs).
+MAX_EXPRESSION_CELLS = 1 << 20
+# name -> (constructor, arity, carrier size from the arguments).  Exponents
+# are clipped at 21, already past the cap, so a huge one builds no huge int.
+_CONSTRUCTORS = {
+    "identity": (identity_solution, 1, lambda n: n),
+    "irretractable": (irretractable_solution, 1, lambda r: 1 << min(r, 21)),
+    "canonical": (canonical_solution, 3, lambda x, a, g: x << min(a + g, 21)),
+}
+
 
 def load_solution(ref: str) -> SolutionTable:
     """A solution file path, or an inline expression.
@@ -169,15 +179,16 @@ def load_solution(ref: str) -> SolutionTable:
     m = _EXPR.fullmatch(ref.strip())
     if not m:
         raise ParseError(f"no such file and not an expression: {ref!r}", 1)
-    name = m.group(1)
     args = [int(p) for p in m.group(2).replace(",", " ").split()]
-    if name == "identity" and len(args) == 1:
-        return identity_solution(args[0])
-    if name == "irretractable" and len(args) == 1:
-        return irretractable_solution(args[0])
-    if name == "canonical" and len(args) == 3:
-        return canonical_solution(*args)
-    raise ParseError(f"unknown constructor expression: {ref!r}", 1)
+    constructor, arity, size = _CONSTRUCTORS.get(m.group(1), (None, -1, None))
+    if len(args) != arity:
+        raise ParseError(f"unknown constructor expression: {ref!r}", 1)
+    n = size(*args)
+    if n * n > MAX_EXPRESSION_CELLS:
+        raise ValidationError(
+            f"{ref.strip()} has more than {MAX_EXPRESSION_CELLS} cells"
+        )
+    return constructor(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +327,7 @@ def _cmd_enumerate(args, report: _Report) -> int:
         rep = count_up_to_iso(
             args.size, budget_ms=args.budget_ms, workers=args.workers
         )
-        triples = []
-        for r in rep.representatives:
-            c = classify(r)
-            triples.append([c.x_size, c.a_dim, c.g_dim])
+        triples = [list(t) for t in rep.class_triples]
         report.say(
             f"size {args.size}: {rep.raw_count} tables, {rep.class_count} classes",
             raw_count=rep.raw_count,
@@ -329,16 +337,9 @@ def _cmd_enumerate(args, report: _Report) -> int:
         for t in triples:
             report.lines.append(f"  class (x={t[0]}, a={t[1]}, g={t[2]})")
     else:
-        if args.naive:
-            from .enumeration import enumerate_naive
-
-            tables = enumerate_naive(args.size)
-        else:
-            from .enumeration import enumerate_pruned
-
-            tables = enumerate_pruned(
-                args.size, budget_ms=args.budget_ms, workers=args.workers
-            )
+        tables = enumerate_pruned(
+            args.size, budget_ms=args.budget_ms, workers=args.workers
+        )
         report.say(
             f"size {args.size}: {len(tables)} tables", raw_count=len(tables)
         )
@@ -437,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all involutive solutions of a size")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--naive", action="store_true", help="oracle route, sizes 1..3")
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--workers", type=int, default=1)
 

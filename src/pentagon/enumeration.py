@@ -1,11 +1,10 @@
 """Exhaustive search for involutive pentagon solutions on small carriers.
 
-Two independent routes produce the same tables: a naive generator that
-lists every involution of the n^2 pair points and filters, and a pruned
-backtracking search that interleaves the pentagon checks with the
+One backtracking search interleaves the pentagon checks with the
 assignment of entries.  The search runs on raw tables, so nothing about
 the classification theory is assumed; the theory becomes a checkable
-output.
+output.  The naive route (every involution of the n^2 pair points,
+filtered) lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .core import (
     BudgetError,
     SolutionTable,
     ValidationError,
-    check_pentagon,
     relabel,
 )
 from .analysis import classify, find_isomorphism
@@ -31,42 +29,12 @@ class EnumerationReport:
     raw_count: int
     class_count: int
     representatives: tuple[SolutionTable, ...]
+    class_triples: tuple[tuple[int, int, int], ...]  # one per representative
     elapsed: float
 
 
 def _decode(flat: tuple[int, ...], n: int) -> SolutionTable:
     return SolutionTable(n, tuple(divmod(q, n) for q in flat))
-
-
-def enumerate_naive(n: int) -> list[SolutionTable]:
-    """Filter every involution of the pair set through the pentagon check."""
-    if not 1 <= n <= 3:
-        raise ValidationError("naive enumeration is limited to sizes 1..3")
-    m = n * n
-    assign = [-1] * m
-    out: list[SolutionTable] = []
-
-    def extend(p: int) -> None:
-        while p < m and assign[p] >= 0:
-            p += 1
-        if p == m:
-            table = _decode(tuple(assign), n)
-            if check_pentagon(table):
-                out.append(table)
-            return
-        for q in range(p, m):
-            if q != p and assign[q] >= 0:
-                continue
-            assign[p] = q
-            assign[q] = p
-            extend(p + 1)
-            assign[p] = -1
-            if q != p:
-                assign[q] = -1
-
-    extend(0)
-    out.sort(key=lambda t: t.entries)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +95,17 @@ class _Deadline:
 
 
 def _search(n: int, assign: list[int], start: int, deadline: _Deadline,
-            out: list[tuple[int, ...]]) -> None:
+            out: list[tuple[int, ...]], depth: int = -1) -> None:
+    """Append every consistent extension of `assign` to `out`.
+
+    An extension stops at a complete table or after `depth` more
+    decisions, whichever comes first; a negative depth never stops early.
+    """
     m = n * n
     p = start
     while p < m and assign[p] >= 0:
         p += 1
-    if p == m:
+    if p == m or depth == 0:
         out.append(tuple(assign))
         return
     for q in range(p, m):
@@ -143,44 +116,10 @@ def _search(n: int, assign: list[int], start: int, deadline: _Deadline,
         assign[p] = q
         assign[q] = p
         if _triples_consistent(assign, n):
-            _search(n, assign, p + 1, deadline, out)
+            _search(n, assign, p + 1, deadline, out, depth - 1)
         assign[p] = -1
         if q != p:
             assign[q] = -1
-
-
-def _prefixes(n: int, depth: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Consistent partial assignments after `depth` decisions.
-
-    Returns (complete tables found while splitting, open prefixes).
-    """
-    m = n * n
-    complete: list[tuple[int, ...]] = []
-    open_prefixes: list[list[int]] = []
-
-    def extend(assign: list[int], start: int, decisions: int) -> None:
-        p = start
-        while p < m and assign[p] >= 0:
-            p += 1
-        if p == m:
-            complete.append(tuple(assign))
-            return
-        if decisions == depth:
-            open_prefixes.append(list(assign))
-            return
-        for q in range(p, m):
-            if q != p and assign[q] >= 0:
-                continue
-            assign[p] = q
-            assign[q] = p
-            if _triples_consistent(assign, n):
-                extend(assign, p + 1, decisions + 1)
-            assign[p] = -1
-            if q != p:
-                assign[q] = -1
-
-    extend([-1] * m, 0, 0)
-    return complete, open_prefixes
 
 
 def _run_prefix(args) -> list[tuple[int, ...]]:
@@ -193,16 +132,20 @@ def _run_prefix(args) -> list[tuple[int, ...]]:
 def enumerate_pruned(
     n: int, budget_ms: float | None = None, workers: int = 1
 ) -> list[SolutionTable]:
-    """Same table set as the naive route, reachable up to size 6.
+    """Every involutive solution of size n, sorted; sizes 1..6.
 
-    Raises BudgetError instead of silently truncating when the time
-    budget runs out.  The output is independent of the worker count.
+    The search splits into prefixes after two decisions, then finishes
+    each one, in this process or on `workers` processes.  Raises
+    BudgetError instead of silently truncating when the time budget runs
+    out, splitting included.  The output is independent of the worker
+    count.
     """
     if not 1 <= n <= 6:
         raise ValidationError("pruned enumeration is limited to sizes 1..6")
     deadline = _Deadline.after_ms(budget_ms)
-    complete, prefixes = _prefixes(n, 2)
-    flats = list(complete)
+    prefixes: list[tuple[int, ...]] = []
+    _search(n, [-1] * (n * n), 0, deadline, prefixes, depth=2)
+    flats: list[tuple[int, ...]] = []
     if workers <= 1 or len(prefixes) < 2:
         for prefix in prefixes:
             _search(n, list(prefix), 0, deadline, flats)
@@ -276,14 +219,15 @@ def count_up_to_iso(
                 "isomorphism search and invariant grouping disagree"
             )
 
-    representatives = sorted(
-        (canonical_form(grp[0]) for grp in by_triple.values()),
-        key=lambda t: t.entries,
+    classes = sorted(
+        ((canonical_form(grp[0]), triple) for triple, grp in by_triple.items()),
+        key=lambda rt: rt[0].entries,
     )
     return EnumerationReport(
         size=n,
         raw_count=len(tables),
         class_count=len(by_triple),
-        representatives=tuple(representatives),
+        representatives=tuple(rep for rep, _ in classes),
+        class_triples=tuple(triple for _, triple in classes),
         elapsed=time.monotonic() - started,
     )

@@ -164,6 +164,32 @@ def normal_forms_oracle(s: SolutionTable, length: int) -> list:
     return out
 
 
+def _involutions(points):
+    """Every involution of a list of points, as a dict point -> partner."""
+    if not points:
+        yield {}
+        return
+    p, rest = points[0], points[1:]
+    for inv in _involutions(rest):
+        yield {**inv, p: p}
+    for i, q in enumerate(rest):
+        for inv in _involutions(rest[:i] + rest[i + 1:]):
+            yield {**inv, p: q, q: p}
+
+
+def naive_tables(n: int) -> list:
+    """Every involutive solution of size n: all involutions of the pair set,
+    filtered by the pentagon oracle, sorted by entries."""
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    tables = (
+        SolutionTable(n, tuple(inv[p] for p in pairs))
+        for inv in _involutions(pairs)
+    )
+    return sorted(
+        (s for s in tables if pentagon_oracle(s)), key=lambda t: t.entries
+    )
+
+
 def random_table(n, rng) -> SolutionTable:
     return SolutionTable(
         n,

@@ -189,8 +189,17 @@ def test_isomorphic_command():
 def test_enumerate_command(capsys):
     assert run(["enumerate", "--size", "2", "--up-to-iso"]) == 0
     assert "3 classes" in capsys.readouterr().out
-    assert run(["enumerate", "--size", "3", "--naive"]) == 0
+    assert run(["enumerate", "--size", "3", "--naive"]) == 2
+    capsys.readouterr()
+    assert run(["enumerate", "--size", "3"]) == 0
     assert "1 tables" in capsys.readouterr().out
+
+
+def test_oversized_expression_rejected_before_building(capsys):
+    # 10^10 and 2^80 cells: refused from the arguments alone, exit 2
+    assert run(["verify", "identity(100000)"]) == 2
+    assert run(["classify", "irretractable(40)"]) == 2
+    assert "cells" in capsys.readouterr().err
 
 
 def test_enumerate_budget_exit_code(capsys):

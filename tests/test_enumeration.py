@@ -1,30 +1,33 @@
+from itertools import permutations
+
 import pytest
 
 from pentagon import (
     BudgetError,
     ValidationError,
     canonical_form,
+    canonical_solution,
     check_involutive,
     check_pentagon,
     classify,
     count_up_to_iso,
-    enumerate_naive,
     enumerate_pruned,
     expected_count,
     identity_solution,
     relabel,
 )
+from pentagon.enumeration import _triples_consistent
 
 import oracles
 
 
 def test_naive_size_one():
-    tables = enumerate_naive(1)
+    tables = oracles.naive_tables(1)
     assert tables == [identity_solution(1)]
 
 
 def test_naive_size_two_raw_and_classes():
-    tables = enumerate_naive(2)
+    tables = oracles.naive_tables(2)
     # raw labeled count is an artifact of this repo, not a literature value
     assert len(tables) == 5
     report = count_up_to_iso(2)
@@ -32,13 +35,8 @@ def test_naive_size_two_raw_and_classes():
 
 
 def test_naive_size_three_only_identity():
-    tables = enumerate_naive(3)
+    tables = oracles.naive_tables(3)
     assert tables == [identity_solution(3)]
-
-
-def test_naive_rejects_large_sizes():
-    with pytest.raises(ValidationError):
-        enumerate_naive(4)
 
 
 def test_pruned_rejects_out_of_range():
@@ -46,11 +44,6 @@ def test_pruned_rejects_out_of_range():
         enumerate_pruned(0)
     with pytest.raises(ValidationError):
         enumerate_pruned(7)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_oracle_equivalence(n):
-    assert enumerate_naive(n) == enumerate_pruned(n)
 
 
 def test_pruned_size_four():
@@ -116,6 +109,40 @@ def test_budget_exceeded_raises_with_workers():
         enumerate_pruned(6, budget_ms=40, workers=2)
 
 
+def test_budget_covers_prefix_split(monkeypatch):
+    # the size-6 split alone makes more deadline calls than one check
+    # interval, so a spent budget must stop it before any worker starts
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool was created after the budget ran out")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(BudgetError):
+        enumerate_pruned(6, budget_ms=0, workers=2)
+
+
+def test_prefix_pruning_is_sound():
+    # every row-major prefix of a real solution passes the triple check,
+    # so the search never prunes a branch that leads to a solution
+    size_six = {
+        relabel(canonical_solution(*shape), perm)
+        for shape in ((6, 0, 0), (3, 1, 0), (3, 0, 1))
+        for perm in permutations(range(6))
+    }
+    assert len(size_six) == 241
+    tables = [s for n in range(1, 6) for s in enumerate_pruned(n)]
+    for s in tables + list(size_six):
+        flat = s.flat()
+        assign = [-1] * len(flat)
+        for p, q in enumerate(flat):
+            if assign[p] >= 0:
+                continue  # written as the partner of an earlier cell
+            assign[p] = q
+            assign[q] = p
+            assert _triples_consistent(assign, s.size)
+
+
 def test_expected_count_examples():
     assert expected_count(12) == 6
     assert expected_count(1) == 1
@@ -144,6 +171,10 @@ def test_report_shape():
     # pairwise non-isomorphic
     triples = [classify(rep) for rep in report.representatives]
     assert len(set((t.x_size, t.a_dim, t.g_dim) for t in triples)) == len(triples)
+    # the report carries each representative's triple, in the same order
+    assert report.class_triples == tuple(
+        (t.x_size, t.a_dim, t.g_dim) for t in triples
+    )
 
 
 def test_canonical_form_is_orbit_invariant(rng):
