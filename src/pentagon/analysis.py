@@ -9,15 +9,17 @@ cheap at these sizes and catches table bugs immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     Bijection,
     MultTable,
     SolutionTable,
     ValidationError,
+    associativity_witness,
     check_involutive,
     check_pentagon,
+    cycle_type,
     derive_tables,
     is_morphism,
 )
@@ -49,15 +51,7 @@ class LeftGroupDecomposition:
 
 
 def is_associative(m: MultTable) -> bool:
-    n = m.size
-    rows = m.rows
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    return False
-    return True
+    return associativity_witness(m.rows) is None
 
 
 def idempotents(m: MultTable) -> tuple[int, ...]:
@@ -237,26 +231,11 @@ def _element_signatures(s: SolutionTable) -> list[tuple]:
     for x in range(n):
         row = thf.maps[x]
         if sorted(row) == list(range(n)):
-            shape = ("perm", _cycle_type(row))
+            shape = ("perm", cycle_type(row))
         else:
             shape = ("map", tuple(sorted(row.count(v) for v in set(row))))
         sigs.append((mult.rows[x][x] == x, shape))
     return sigs
-
-
-def _cycle_type(p: Sequence[int]) -> tuple[int, ...]:
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        cnt, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            cnt += 1
-        lengths.append(cnt)
-    return tuple(sorted(lengths))
 
 
 def find_isomorphism(

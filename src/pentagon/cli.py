@@ -84,7 +84,7 @@ def parse_solution(text: str) -> SolutionTable:
     m = re.fullmatch(r"size (\d+)", lines[1].strip())
     if not m:
         raise ParseError("expected 'size <n>'", 2)
-    n = int(m.group(1))
+    n = _parse_int(m.group(1), 2)
     if n < 1:
         raise ParseError("size must be at least 1", 2)
 
@@ -118,6 +118,14 @@ def parse_solution(text: str) -> SolutionTable:
     return SolutionTable(
         n, tuple(entries[(i, j)] for i in range(n) for j in range(n))
     )
+
+
+def _parse_int(digits: str, line: int) -> int:
+    """int() of a digit string, as a ParseError when it has too many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", line)
 
 
 def emit_solution(s: SolutionTable) -> str:
@@ -157,8 +165,15 @@ def parse_sigma_text(text: str) -> SigmaMap:
 
 _EXPR = re.compile(r"([a-z]+)\(([0-9, ]*)\)")
 
-# Largest table an inline expression may build, in cells (pairs).
+# Largest table an expression, construct or product may build, in cells.
 MAX_EXPRESSION_CELLS = 1 << 20
+
+
+def _refuse_oversized(what: str, n: int) -> None:
+    if n * n > MAX_EXPRESSION_CELLS:
+        raise ValidationError(f"{what} has more than {MAX_EXPRESSION_CELLS} cells")
+
+
 # name -> (constructor, arity, carrier size from the arguments).  Exponents
 # are clipped at 21, already past the cap, so a huge one builds no huge int.
 _CONSTRUCTORS = {
@@ -179,15 +194,11 @@ def load_solution(ref: str) -> SolutionTable:
     m = _EXPR.fullmatch(ref.strip())
     if not m:
         raise ParseError(f"no such file and not an expression: {ref!r}", 1)
-    args = [int(p) for p in m.group(2).replace(",", " ").split()]
+    args = [_parse_int(p, 1) for p in m.group(2).replace(",", " ").split()]
     constructor, arity, size = _CONSTRUCTORS.get(m.group(1), (None, -1, None))
     if len(args) != arity:
         raise ParseError(f"unknown constructor expression: {ref!r}", 1)
-    n = size(*args)
-    if n * n > MAX_EXPRESSION_CELLS:
-        raise ValidationError(
-            f"{ref.strip()} has more than {MAX_EXPRESSION_CELLS} cells"
-        )
+    _refuse_oversized(ref.strip(), size(*args))
     return constructor(*args)
 
 
@@ -259,7 +270,10 @@ def _cmd_construct(args, report: _Report) -> int:
     if args.sigma:
         with open(args.sigma, encoding="ascii") as fh:
             sigma = parse_sigma_text(fh.read())
+    # Decomposition rejects negative dimensions before the size rule shifts
     dec = Decomposition(args.x, args.a, args.g, sigma)
+    size = _CONSTRUCTORS["canonical"][2]
+    _refuse_oversized("construct", size(args.x, args.a, args.g))
     s = decomposition_solution(dec)
     report.payload["results"].update(size=s.size)
     _write_or_print(emit_solution(s), args.output, report)
@@ -267,7 +281,9 @@ def _cmd_construct(args, report: _Report) -> int:
 
 
 def _cmd_product(args, report: _Report) -> int:
-    s = product_solution(load_solution(args.left), load_solution(args.right))
+    left, right = load_solution(args.left), load_solution(args.right)
+    _refuse_oversized("product", left.size * right.size)
+    s = product_solution(left, right)
     report.payload["results"].update(size=s.size)
     _write_or_print(emit_solution(s), args.output, report)
     return 0
@@ -492,7 +508,7 @@ def run(argv: list[str]) -> int:
         report.say(f"budget exceeded: {exc}", budget_exceeded=True)
         report.flush()
         return 3
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.flush()

@@ -9,18 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
     MultTable,
     SolutionTable,
     ValidationError,
+    associativity_witness,
     compose_perms,
     identity_perm,
     inverse_perm,
+    perm_order,
     perm_power,
-    product_solution,
 )
 
 
@@ -60,14 +61,9 @@ def group_from_cayley(rows: Sequence[Sequence[int]]) -> GroupTable:
     if identity is None:
         raise ValidationError("identity axiom fails: no two-sided identity")
 
-    for a in range(n):
-        for b in range(n):
-            ab = cayley[a][b]
-            for c in range(n):
-                if cayley[ab][c] != cayley[a][cayley[b][c]]:
-                    raise ValidationError(
-                        f"associativity axiom fails at ({a},{b},{c})"
-                    )
+    bad = associativity_witness(cayley)
+    if bad is not None:
+        raise ValidationError("associativity axiom fails at (%d,%d,%d)" % bad)
 
     for a in range(n):
         if not any(
@@ -75,14 +71,8 @@ def group_from_cayley(rows: Sequence[Sequence[int]]) -> GroupTable:
         ):
             raise ValidationError(f"inverse axiom fails: element {a}")
 
-    exponent = 1
-    for a in range(n):
-        k, x = 1, a
-        while x != identity:
-            x = cayley[x][a]
-            k += 1
-        exponent = exponent * k // gcd(exponent, k)
-
+    # the order of a is the order of right multiplication by a
+    exponent = lcm(*(perm_order([row[a] for row in cayley]) for a in range(n)))
     return GroupTable(n, cayley, identity, exponent)
 
 
@@ -207,25 +197,11 @@ def irretractable_solution(dim: int) -> SolutionTable:
 
 
 def ext_solution(dec: Decomposition) -> SolutionTable:
-    """Extension of the bitmask solution on A by X and sigma (g_dim must be 0).
-
-    Carrier X x A on indices x * 2^a_dim + a, with
-    s((x,a),(y,b)) = ((x,a), (sigma_{a^b} sigma_b^{-1}(y), a^b)).
-    """
+    """Extension of the bitmask solution on A by X and sigma: the
+    decomposition_solution with g_dim == 0, the only shape it accepts."""
     if dec.g_dim != 0:
         raise ValidationError("extension requires g_dim == 0")
-    sigma = dec.sigma or trivial_sigma(dec.x_size, dec.a_dim)
-    am = 1 << dec.a_dim
-    inverses = [inverse_perm(p) for p in sigma.perms]
-    n = dec.x_size * am
-
-    def fn(i, j):
-        x, a = divmod(i, am)
-        y, b = divmod(j, am)
-        c = a ^ b
-        return (i, sigma.perms[c][inverses[b][y]] * am + c)
-
-    return SolutionTable.from_function(n, fn)
+    return decomposition_solution(dec)
 
 
 def canonical_solution(x_size: int, a_dim: int, g_dim: int) -> SolutionTable:
@@ -233,26 +209,28 @@ def canonical_solution(x_size: int, a_dim: int, g_dim: int) -> SolutionTable:
 
     s((x,a,g),(y,b,h)) = ((x, a, g^h), (y, a^b, h)).
     """
-    dec = Decomposition(x_size, a_dim, g_dim)
-    am, gm = 1 << a_dim, 1 << g_dim
-    n = dec.size
-
-    def fn(i, j):
-        xa, g = divmod(i, gm)
-        x, a = divmod(xa, am)
-        yb, h = divmod(j, gm)
-        y, b = divmod(yb, am)
-        return ((x * am + a) * gm + (g ^ h), (y * am + (a ^ b)) * gm + h)
-
-    return SolutionTable.from_function(n, fn)
+    return decomposition_solution(Decomposition(x_size, a_dim, g_dim))
 
 
 def decomposition_solution(dec: Decomposition) -> SolutionTable:
-    """Ext by X and sigma, times the group solution on G; the general form."""
-    base = ext_solution(Decomposition(dec.x_size, dec.a_dim, 0, dec.sigma))
-    if dec.g_dim == 0:
-        return base
-    return product_solution(base, group_solution(xor_group(dec.g_dim)))
+    """The general form on X x A x G, row-major over (x, a, g).
+
+    s((x,a,g),(y,b,h)) = ((x, a, g^h), (sigma_{a^b} sigma_b^{-1}(y), a^b, h)),
+    with the trivial sigma when dec.sigma is None.
+    """
+    sigma = dec.sigma or trivial_sigma(dec.x_size, dec.a_dim)
+    am, gm = 1 << dec.a_dim, 1 << dec.g_dim
+    inverses = [inverse_perm(p) for p in sigma.perms]
+
+    def fn(i, j):
+        xa, g = divmod(i, gm)
+        yb, h = divmod(j, gm)
+        y, b = divmod(yb, am)
+        c = (xa % am) ^ b
+        y2 = sigma.perms[c][inverses[b][y]]
+        return (xa * gm + (g ^ h), (y2 * am + c) * gm + h)
+
+    return SolutionTable.from_function(dec.size, fn)
 
 
 def endo_solution(m: MultTable, f: Sequence[int]) -> SolutionTable:
@@ -261,14 +239,11 @@ def endo_solution(m: MultTable, f: Sequence[int]) -> SolutionTable:
     fm = tuple(f)
     if len(fm) != n or any(not 0 <= v < n for v in fm):
         raise ValidationError("f is not a total map on the carrier")
-    for a in range(n):
-        for b in range(n):
-            ab = m.rows[a][b]
-            for c in range(n):
-                if m.rows[ab][c] != m.rows[a][m.rows[b][c]]:
-                    raise ValidationError(
-                        f"multiplication is not associative at ({a},{b},{c})"
-                    )
+    bad = associativity_witness(m.rows)
+    if bad is not None:
+        raise ValidationError(
+            "multiplication is not associative at (%d,%d,%d)" % bad
+        )
     if any(fm[fm[x]] != fm[x] for x in range(n)):
         raise ValidationError("f is not idempotent")
     for x in range(n):

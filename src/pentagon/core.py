@@ -10,7 +10,7 @@ candidates without try/except.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 
@@ -159,20 +159,24 @@ def perm_power(p: Sequence[int], k: int) -> tuple[int, ...]:
     return out
 
 
-def perm_order(p: Sequence[int]) -> int:
-    order = 1
+def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation."""
     seen = [False] * len(p)
+    lengths = []
     for i in range(len(p)):
         if seen[i]:
             continue
-        length = 0
-        j = i
+        cnt, j = 0, i
         while not seen[j]:
             seen[j] = True
             j = p[j]
-            length += 1
-        order = order * length // gcd(order, length)
-    return order
+            cnt += 1
+        lengths.append(cnt)
+    return tuple(sorted(lengths))
+
+
+def perm_order(p: Sequence[int]) -> int:
+    return lcm(*cycle_type(p))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,21 @@ def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
                 p, q = ent[xn + u]
                 if c != p or e != q or f != v:
                     return (x, y, z)
+    return None
+
+
+def associativity_witness(
+    rows: Sequence[Sequence[int]],
+) -> Optional[tuple[int, int, int]]:
+    """First triple (a, b, c) of a square table where (ab)c != a(bc), or None."""
+    n = len(rows)
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            rab, rb = rows[ra[b]], rows[b]
+            for c in range(n):
+                if rab[c] != ra[rb[c]]:
+                    return (a, b, c)
     return None
 
 

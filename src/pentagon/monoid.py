@@ -19,11 +19,9 @@ from .core import (
     BudgetError,
     SolutionTable,
     ValidationError,
-    check_involutive,
-    check_pentagon,
     derive_tables,
 )
-from .analysis import idempotents
+from .analysis import classify
 
 Word = tuple[int, ...]
 
@@ -188,14 +186,7 @@ def growth_series(
 
 def rank_expected(s: SolutionTable) -> int:
     """Idempotent count divided by retract size, the predicted growth degree."""
-    if not check_involutive(s) or not check_pentagon(s):
-        raise ValidationError("rank is defined for involutive solutions only")
-    mult, thf = derive_tables(s)
-    num_idem = len(idempotents(mult))
-    ret_size = len(set(thf.maps))
-    if num_idem % ret_size:
-        raise ValidationError("retract size does not divide the idempotent count")
-    return num_idem // ret_size
+    return classify(s).x_size
 
 
 def estimate_growth_degree(series: GrowthSeries) -> Optional[DegreeEstimate]:

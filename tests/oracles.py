@@ -113,6 +113,35 @@ def brute_isomorphism(s: SolutionTable, t: SolutionTable):
     return None
 
 
+def decomposition_oracle(x: int, a: int, g: int, perms) -> SolutionTable:
+    """The solution on X x A x G, written as the formula of the main theorem:
+
+        s((x,a,g),(y,b,h)) = ((x, a, g+h), (sigma_{a+b} sigma_b^-1 (y), a+b, h)),
+
+    with A and G the bitmask groups of rank a and g (so + is xor) and
+    sigma_b = perms[b].  Elements are numbered in row-major (x, a, g) order.
+    """
+    elems = [
+        (u, v, w) for u in range(x) for v in range(2**a) for w in range(2**g)
+    ]
+    index = {e: i for i, e in enumerate(elems)}
+    inverse = [{p[i]: i for i in range(x)} for p in perms]
+    smap = {}
+    for xx, aa, gg in elems:
+        for y, b, h in elems:
+            c = aa ^ b
+            smap[(xx, aa, gg), (y, b, h)] = (
+                (xx, aa, gg ^ h),
+                (perms[c][inverse[b][y]], c, h),
+            )
+    entries = []
+    for e in elems:
+        for f in elems:
+            k, l = smap[e, f]
+            entries.append((index[k], index[l]))
+    return SolutionTable(len(elems), tuple(entries))
+
+
 def _find(parent, w):
     while parent[w] != w:
         parent[w] = parent[parent[w]]

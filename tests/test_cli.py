@@ -1,7 +1,10 @@
 import json
+import os
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pentagon import (
     canonical_solution,
@@ -11,6 +14,8 @@ from pentagon import (
     irretractable_solution,
 )
 from pentagon.cli import (
+    HEADER,
+    MAX_EXPRESSION_CELLS,
     ParseError,
     emit_solution,
     load_solution,
@@ -202,6 +207,24 @@ def test_oversized_expression_rejected_before_building(capsys):
     assert "cells" in capsys.readouterr().err
 
 
+def test_construct_and_product_refuse_oversized_tables(capsys):
+    # 2^22, 2^(10^9) and 2^22 cells: refused before anything is built
+    assert run(["construct", "--x", "1", "--g", "11"]) == 2
+    assert run(["construct", "--x", "1", "--a", str(10**9)]) == 2
+    assert run(["product", "identity(64)", "irretractable(5)"]) == 2
+    assert capsys.readouterr().err.count("cells") == 3
+    assert run(["construct", "--x", "1", "--a", "-1"]) == 2
+
+
+def test_huge_integers_are_input_errors(tmp_path, capsys):
+    # more digits than int() converts by default (4300)
+    assert run(["classify", "identity(" + "9" * 5000 + ")"]) == 2
+    huge = tmp_path / "huge.solution"
+    huge.write_text(f"{HEADER}\nsize {'9' * 5000}\n0 0 0 0\n")
+    assert run(["verify", str(huge)]) == 2
+    assert capsys.readouterr().err.count("5000 digits is too long") == 2
+
+
 def test_enumerate_budget_exit_code(capsys):
     assert run(["enumerate", "--size", "6", "--budget-ms", "30"]) == 3
     assert "budget exceeded" in capsys.readouterr().out
@@ -264,5 +287,95 @@ def test_malformed_file_never_raises(tmp_path, capsys):
     bad = tmp_path / "bad.solution"
     bad.write_text("pentagon-solution v1\nsize 2\n0 0 9 9\n")
     assert run(["verify", str(bad)]) == 2
+    bad.write_bytes(f"{HEADER}\nsize 1\n0 0 0 \u00e9\n".encode())
+    assert run(["verify", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert "error" in err
+    assert err.count("error") == 2
+
+
+# ---------------------------------------------------------------------------
+# run() is total: every input ends in an exit code, never an exception
+
+COMMANDS = [
+    ["verify", "--axioms", "pe,involutive"],
+    ["classify"],
+    ["retract"],
+    ["order", "--cap", "4"],
+    ["growth", "--length", "3"],
+    ["isomorphic", "identity(2)"],
+    ["product", "identity(2)"],
+]
+
+
+def _argument(small):
+    """A small argument or one past the cell cap, so every run is fast."""
+    return st.one_of(
+        st.integers(0, small), st.integers(MAX_EXPRESSION_CELLS, 10**30)
+    )
+
+
+def _expression(name, args, sep, frame):
+    return frame.format(f"{name}({sep.join(map(str, args))})")
+
+
+EXPRESSIONS = st.one_of(
+    *(
+        st.builds(
+            _expression,
+            st.just(name),
+            st.lists(_argument(small), max_size=4),
+            st.sampled_from([",", ", ", " ", ",,"]),
+            st.sampled_from(["{}", " {} ", "{})", "x{}"]),
+        )
+        for name, small in [
+            ("identity", 8),
+            ("irretractable", 3),
+            ("canonical", 1),
+            ("mystery", 8),
+        ]
+    )
+)
+
+_TOKENS = st.one_of(
+    st.integers(-1, 3).map(str), st.sampled_from(["x", "1.5", "\u0663", ""])
+)
+
+
+def _solution_file(header, size, rows):
+    lines = [header, f"size {size}"] + [" ".join(r) for r in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+SOLUTION_FILES = st.one_of(
+    st.builds(
+        _solution_file,
+        st.sampled_from([HEADER, "pentagon-solution v2", ""]),
+        st.one_of(
+            st.integers(-1, 3).map(str),
+            st.integers(MAX_EXPRESSION_CELLS, 10**30).map(str),
+            st.text(max_size=3),
+        ),
+        st.lists(st.lists(_TOKENS, max_size=5), max_size=10),
+    ),
+    st.binary(max_size=64),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(COMMANDS), ref=EXPRESSIONS, as_json=st.booleans())
+@example(command=["classify"], ref="identity(" + "9" * 5000 + ")", as_json=False)
+def test_run_is_total_on_expressions(command, ref, as_json):
+    code = run((["--json"] if as_json else []) + command + [ref])
+    assert code in (0, 1, 2, 3)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(COMMANDS), body=SOLUTION_FILES)
+@example(command=["verify"], body=f"{HEADER}\nsize {'9' * 5000}\n".encode())
+def test_run_is_total_on_solution_files(command, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.solution")
+        with open(path, "wb") as fh:
+            fh.write(body)
+        code = run(command + [path])
+    assert code in (0, 1, 2, 3)

@@ -214,6 +214,33 @@ def test_decomposition_solution_general_form():
     assert decomposition_solution(Decomposition(3, 1, 1)) == canonical_solution(3, 1, 1)
 
 
+def test_decomposition_solution_matches_the_formula(rng):
+    # every shape with |S| <= 16 and |G| <= 4, under a random sigma each,
+    # against the theorem's formula written out in oracles
+    shapes = [
+        (x, a, g)
+        for x in range(1, 17)
+        for a in range(5)
+        for g in range(3)
+        if x << (a + g) <= 16
+    ]
+    for x, a, g in shapes:
+        perms = []
+        for _ in range(1 << a):
+            p = list(range(x))
+            rng.shuffle(p)
+            perms.append(tuple(p))
+        sigma = SigmaMap(x, a, tuple(perms))
+        want = oracles.decomposition_oracle(x, a, g, perms)
+        assert decomposition_solution(Decomposition(x, a, g, sigma)) == want
+        if g == 0:
+            assert ext_solution(Decomposition(x, a, 0, sigma)) == want
+        identity = [tuple(range(x))] * (1 << a)
+        assert canonical_solution(x, a, g) == oracles.decomposition_oracle(
+            x, a, g, identity
+        )
+
+
 def test_construct_then_verify_all_shapes_up_to_16(rng):
     shapes = [
         (x, a, g)

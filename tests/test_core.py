@@ -32,8 +32,8 @@ from pentagon import (
     xor_group,
 )
 from pentagon.analysis import classify
-from pentagon.constructors import Decomposition, SigmaMap
-from pentagon.core import compose_perms, inverse_perm
+from pentagon.constructors import Decomposition, SigmaMap, group_from_cayley
+from pentagon.core import associativity_witness, compose_perms, inverse_perm
 
 from conftest import (
     bijective_finite_order_panel,
@@ -276,6 +276,37 @@ def test_theta_family_properties_on_involutive_solutions():
                 # each theta is an automorphism of the multiplication
                 for z in range(n):
                     assert th[x][mult.rows[y][z]] == mult.rows[th[x][y]][th[x][z]]
+
+
+def test_associativity_witness_is_the_first_failing_triple(rng):
+    # tables with two-sided identity 0, so group_from_cayley reaches its
+    # associativity check; both raisers name the witness
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        rows = [
+            [j if i == 0 else i if j == 0 else rng.randrange(n) for j in range(n)]
+            for i in range(n)
+        ]
+        want = next(
+            (
+                (a, b, c)
+                for a in range(n)
+                for b in range(n)
+                for c in range(n)
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]
+            ),
+            None,
+        )
+        assert associativity_witness(rows) == want
+        if want is None:
+            continue
+        triple = "(%d,%d,%d)" % want
+        with pytest.raises(ValidationError) as exc:
+            group_from_cayley(rows)
+        assert str(exc.value) == f"associativity axiom fails at {triple}"
+        with pytest.raises(ValidationError) as exc:
+            endo_solution(MultTable(n, tuple(map(tuple, rows))), range(n))
+        assert str(exc.value) == f"multiplication is not associative at {triple}"
 
 
 def test_relabel_round_trip(rng):
