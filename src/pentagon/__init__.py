@@ -18,7 +18,6 @@ from .core import (
     check_commutative,
     check_involutive,
     check_pentagon,
-    check_pentagon_equations,
     check_reversed_pentagon,
     derive_tables,
     flip_conjugate,

@@ -127,18 +127,14 @@ def retract_tower(s: SolutionTable) -> list[int]:
 
 def abelian_structure(s: SolutionTable) -> GroupTable:
     """The group with x + y = theta_x(y) carried by an irretractable solution."""
-    if not is_irretractable(s):
-        raise ValidationError("abelian_structure requires an irretractable solution")
+    _require_involutive_solution(s, "abelian_structure")
     _, thf = derive_tables(s)
+    if len(set(thf.maps)) != s.size:
+        raise ValidationError("abelian_structure requires an irretractable solution")
     g = group_from_cayley(thf.maps)
-    if any(g.cayley[x][x] != g.identity for x in range(g.size)):
+    # exponent 2 makes g abelian: xy = (xy)^-1 = y^-1 x^-1 = yx
+    if g.exponent > 2:
         raise ValidationError("derived group is not of exponent 2")
-    if any(
-        g.cayley[x][y] != g.cayley[y][x]
-        for x in range(g.size)
-        for y in range(g.size)
-    ):
-        raise ValidationError("derived group is not abelian")
     return g
 
 

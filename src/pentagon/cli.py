@@ -317,8 +317,8 @@ def _cmd_isomorphic(args, report: _Report) -> int:
     if s.size != t.size:
         report.say("not isomorphic: sizes differ", isomorphic=False)
         return 1
-    if s.size <= args.max_size:
-        f = find_isomorphism(s, t, max_size=args.max_size)
+    if s.size <= 8:  # the default search bound of find_isomorphism
+        f = find_isomorphism(s, t)
         if f is None:
             report.say("not isomorphic", isomorphic=False)
             return 1
@@ -449,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isomorphic", help="decide isomorphism of two solutions")
     p.add_argument("left", help=sol_help)
     p.add_argument("right", help=sol_help)
-    p.add_argument("--max-size", type=int, default=8)
 
     p = sub.add_parser("enumerate", help="all involutive solutions of a size")
     p.add_argument("--size", type=int, required=True)

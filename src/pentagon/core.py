@@ -187,22 +187,50 @@ def perm_order(p: Sequence[int]) -> int:
 # tables directly, which keeps every predicate total.
 
 
-def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
-    """First triple (x, y, z) where s23 s13 s12 != s12 s23, or None."""
-    n = s.size
-    ent = s.entries
+def chase_pentagon(
+    cells: Sequence[Optional[tuple[int, int]]], n: int
+) -> Optional[tuple[int, int, int]]:
+    """First triple (x, y, z) whose assigned cells break s23 s13 s12 = s12 s23.
+
+    ``cells[x * n + y]`` is s(x, y), or None while unassigned.  With
+    s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q) and
+    s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v); each part
+    is compared once the cells it reads are assigned, so a triple found
+    on a partial table fails on every completion of it.
+    """
     for x in range(n):
         xn = x * n
         for y in range(n):
-            a, b = ent[xn + y]
+            ab = cells[xn + y]
+            if ab is None:
+                continue
+            a, b = ab
+            an, bn, yn = a * n, b * n, y * n
             for z in range(n):
-                c, d = ent[a * n + z]
-                e, f = ent[b * n + d]
-                u, v = ent[y * n + z]
-                p, q = ent[xn + u]
-                if c != p or e != q or f != v:
+                uv = cells[yn + z]
+                if uv is None:
+                    continue
+                u, v = uv
+                cd = cells[an + z]
+                pq = cells[xn + u]
+                if cd is None or pq is None:
+                    continue
+                c, d = cd
+                p, q = pq
+                if c != p:
+                    return (x, y, z)
+                ef = cells[bn + d]
+                if ef is None:
+                    continue
+                e, f = ef
+                if e != q or f != v:
                     return (x, y, z)
     return None
+
+
+def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
+    """First triple (x, y, z) where s23 s13 s12 != s12 s23, or None."""
+    return chase_pentagon(s.entries, s.size)
 
 
 def associativity_witness(
@@ -222,31 +250,6 @@ def associativity_witness(
 
 def check_pentagon(s: SolutionTable) -> bool:
     return pentagon_witness(s) is None
-
-
-def check_pentagon_equations(s: SolutionTable) -> bool:
-    """Pentagon axiom via the three coordinate identities on (mult, theta).
-
-    Cross-check route for check_pentagon: associativity of the product,
-    theta_x(y) * theta_{xy}(z) = theta_x(yz), and
-    theta_{theta_x(y)} theta_{xy} = theta_y.
-    """
-    mult, thf = derive_tables(s)
-    mul = mult.rows
-    th = thf.maps
-    n = s.size
-    for x in range(n):
-        for y in range(n):
-            xy = mul[x][y]
-            txy = th[x][y]
-            for z in range(n):
-                if mul[xy][z] != mul[x][mul[y][z]]:
-                    return False
-                if mul[txy][th[xy][z]] != th[x][mul[y][z]]:
-                    return False
-                if th[txy][th[xy][z]] != th[y][z]:
-                    return False
-    return True
 
 
 def check_reversed_pentagon(s: SolutionTable) -> bool:
@@ -323,14 +326,8 @@ def order_of(s: SolutionTable, cap: int) -> Optional[int]:
         raise ValidationError("cap must be at least 1")
     if not check_bijective(s):
         return None
-    flat = s.flat()
-    ident = list(range(len(flat)))
-    cur = flat
-    for m in range(1, cap + 1):
-        if cur == ident:
-            return m
-        cur = [flat[p] for p in cur]
-    return None
+    m = perm_order(s.flat())
+    return m if m <= cap else None
 
 
 def is_morphism(f: Sequence[int], s: SolutionTable, t: SolutionTable) -> bool:

@@ -18,6 +18,7 @@ from .core import (
     BudgetError,
     SolutionTable,
     ValidationError,
+    chase_pentagon,
     relabel,
 )
 from .analysis import classify, find_isomorphism
@@ -33,43 +34,16 @@ class EnumerationReport:
     elapsed: float
 
 
-def _decode(flat: tuple[int, ...], n: int) -> SolutionTable:
-    return SolutionTable(n, tuple(divmod(q, n) for q in flat))
-
-
 # ---------------------------------------------------------------------------
 # pruned backtracking
 #
 # Entries are assigned in lexicographic (i, j) order and values tried in
-# lexicographic (k, l) order; writing s(p) = q immediately writes
-# s(q) = p.  After every assignment each pentagon triple whose lookup
-# chain is fully determined is evaluated, and a failure backtracks.
+# lexicographic (k, l) order; unassigned cells hold None, and writing
+# s(p) = q immediately writes s(q) = p.  After every assignment the
+# pentagon chase of core runs on the partial table, and a failing triple
+# backtracks.
 
 _CHECK_INTERVAL = 1024
-
-
-def _triples_consistent(assign: list[int], n: int) -> bool:
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            ab = assign[xn + y]
-            if ab < 0:
-                continue
-            a, b = divmod(ab, n)
-            yn = y * n
-            for z in range(n):
-                uv = assign[yn + z]
-                if uv < 0:
-                    continue
-                pq = assign[xn + uv // n]
-                cd = assign[a * n + z]
-                if pq >= 0 and cd >= 0:
-                    if cd // n != pq // n:
-                        return False
-                    ef = assign[b * n + cd % n]
-                    if ef >= 0 and ef != (pq % n) * n + uv % n:
-                        return False
-    return True
 
 
 class _Deadline:
@@ -94,37 +68,36 @@ class _Deadline:
         return time.monotonic() > self.at
 
 
-def _search(n: int, assign: list[int], start: int, deadline: _Deadline,
-            out: list[tuple[int, ...]], depth: int = -1) -> None:
-    """Append every consistent extension of `assign` to `out`.
+def _search(n: int, cells: list, start: int, deadline: _Deadline,
+            out: list[tuple], depth: int = -1) -> None:
+    """Append every consistent extension of `cells` to `out`.
 
     An extension stops at a complete table or after `depth` more
     decisions, whichever comes first; a negative depth never stops early.
     """
     m = n * n
     p = start
-    while p < m and assign[p] >= 0:
+    while p < m and cells[p] is not None:
         p += 1
     if p == m or depth == 0:
-        out.append(tuple(assign))
+        out.append(tuple(cells))
         return
     for q in range(p, m):
-        if q != p and assign[q] >= 0:
+        if q != p and cells[q] is not None:
             continue
         if deadline.expired():
             raise BudgetError("enumeration budget exceeded")
-        assign[p] = q
-        assign[q] = p
-        if _triples_consistent(assign, n):
-            _search(n, assign, p + 1, deadline, out, depth - 1)
-        assign[p] = -1
-        if q != p:
-            assign[q] = -1
+        cells[p] = divmod(q, n)
+        cells[q] = divmod(p, n)
+        if chase_pentagon(cells, n) is None:
+            _search(n, cells, p + 1, deadline, out, depth - 1)
+        cells[p] = None
+        cells[q] = None
 
 
-def _run_prefix(args) -> list[tuple[int, ...]]:
+def _run_prefix(args) -> list[tuple]:
     n, prefix, deadline_at = args
-    out: list[tuple[int, ...]] = []
+    out: list[tuple] = []
     _search(n, list(prefix), 0, _Deadline(deadline_at), out)
     return out
 
@@ -143,21 +116,21 @@ def enumerate_pruned(
     if not 1 <= n <= 6:
         raise ValidationError("pruned enumeration is limited to sizes 1..6")
     deadline = _Deadline.after_ms(budget_ms)
-    prefixes: list[tuple[int, ...]] = []
-    _search(n, [-1] * (n * n), 0, deadline, prefixes, depth=2)
-    flats: list[tuple[int, ...]] = []
+    prefixes: list[tuple] = []
+    _search(n, [None] * (n * n), 0, deadline, prefixes, depth=2)
+    tables: list[tuple] = []
     if workers <= 1 or len(prefixes) < 2:
         for prefix in prefixes:
-            _search(n, list(prefix), 0, deadline, flats)
+            _search(n, list(prefix), 0, deadline, tables)
     else:
         import multiprocessing
 
         tasks = [(n, prefix, deadline.at) for prefix in prefixes]
         with multiprocessing.Pool(workers) as pool:
             for chunk in pool.imap_unordered(_run_prefix, tasks):
-                flats.extend(chunk)
-    flats.sort()
-    return [_decode(f, n) for f in flats]
+                tables.extend(chunk)
+    tables.sort()  # (k, l) pairs sort like their codes k*n + l
+    return [SolutionTable(n, t) for t in tables]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from pentagon import (
+    SolutionTable,
     canonical_solution,
     cycle_solution,
     cyclic_group,
@@ -14,6 +16,13 @@ from pentagon import (
     xor_group,
 )
 from pentagon.constructors import Decomposition, SigmaMap
+
+# one profile for every property test: reproducible runs, no example
+# database on disk, no per-example deadline on this slow pure-Python code
+settings.register_profile(
+    "pentagon", derandomize=True, database=None, deadline=None
+)
+settings.load_profile("pentagon")
 
 
 def small_involutive_panel():
@@ -51,6 +60,46 @@ def non_solution_panel(seed=20240305, count=12, max_size=3):
     return [
         random_table(rng.randrange(1, max_size + 1), rng) for _ in range(count)
     ]
+
+
+def prime_cycles_table():
+    """Size 16, bijective; the pair map has one cycle of each prime 2..41
+    (238 pair codes in order) and fixes the other 18, so its order is the
+    primorial 304250263527210."""
+    perm, start = list(range(256)), 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        for i in range(p):
+            perm[start + i] = start + (i + 1) % p
+        start += p
+    return SolutionTable(16, tuple(divmod(q, 16) for q in perm))
+
+
+CANONICAL_SHAPES = [
+    (x, a, g)
+    for x in (1, 2, 3)
+    for a in (0, 1, 2)
+    for g in (0, 1, 2)
+    if x * 2 ** (a + g) <= 8
+]
+
+
+@st.composite
+def near_solutions(draw):
+    """A random table of size 1..5, or a canonical solution of size <= 8
+    with one cell overwritten (the informative near-misses)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+        return SolutionTable(n, tuple(cells))
+    s = canonical_solution(*draw(st.sampled_from(CANONICAL_SHAPES)))
+    n = s.size
+    cells = list(s.entries)
+    cells[draw(st.integers(0, n * n - 1))] = (
+        draw(st.integers(0, n - 1)),
+        draw(st.integers(0, n - 1)),
+    )
+    return SolutionTable(n, tuple(cells))
 
 
 @pytest.fixture

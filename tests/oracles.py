@@ -48,10 +48,44 @@ def compose(f, g):
     return {k: f[v] for k, v in g.items()}
 
 
-def pentagon_oracle(s: SolutionTable) -> bool:
+def pentagon_failures(s: SolutionTable) -> list:
+    """Every triple where s23 s13 s12 and s12 s23 differ, in x, y, z order."""
     smap, n = as_map(s), s.size
     s12, s13, s23 = _lift12(smap, n), _lift13(smap, n), _lift23(smap, n)
-    return compose(s23, compose(s13, s12)) == compose(s12, s23)
+    lhs, rhs = compose(s23, compose(s13, s12)), compose(s12, s23)
+    return sorted(t for t in lhs if lhs[t] != rhs[t])
+
+
+def pentagon_oracle(s: SolutionTable) -> bool:
+    return not pentagon_failures(s)
+
+
+def pentagon_failure_oracle(s: SolutionTable):
+    """The least triple where the pentagon equation fails, or None."""
+    failures = pentagon_failures(s)
+    return failures[0] if failures else None
+
+
+def pentagon_equations_oracle(s: SolutionTable) -> bool:
+    """The pentagon axiom via its three identities on s(x, y) = (xy, theta_x(y)):
+
+    (xy)z = x(yz), theta_x(y) * theta_{xy}(z) = theta_x(yz), and
+    theta_{theta_x(y)} theta_{xy} = theta_y.
+    """
+    n = s.size
+    mul = [[s.apply(x, y)[0] for y in range(n)] for x in range(n)]
+    th = [[s.apply(x, y)[1] for y in range(n)] for x in range(n)]
+    for x in range(n):
+        for y in range(n):
+            xy, txy = mul[x][y], th[x][y]
+            for z in range(n):
+                if mul[xy][z] != mul[x][mul[y][z]]:
+                    return False
+                if mul[txy][th[xy][z]] != th[x][mul[y][z]]:
+                    return False
+                if th[txy][th[xy][z]] != th[y][z]:
+                    return False
+    return True
 
 
 def reversed_pentagon_oracle(s: SolutionTable) -> bool:

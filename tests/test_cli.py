@@ -2,9 +2,10 @@ import json
 import os
 import pathlib
 import tempfile
+import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pentagon import (
     canonical_solution,
@@ -23,6 +24,8 @@ from pentagon.cli import (
     parse_solution,
     run,
 )
+
+from conftest import near_solutions, prime_cycles_table
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -56,6 +59,11 @@ def test_parse_accepts_shuffled_rows():
     shuffled = "\n".join(lines[:2] + list(reversed(lines[2:]))) + "\n"
     assert parse_solution(shuffled) == irretractable_solution(1)
     assert emit_solution(parse_solution(shuffled)) == text
+
+
+@given(s=near_solutions())
+def test_parse_inverts_emit(s):
+    assert parse_solution(emit_solution(s)) == s
 
 
 def test_emit_line_counts():
@@ -189,6 +197,8 @@ def test_isomorphic_command():
     assert run(["isomorphic", "identity(2)", "identity(3)"]) == 1
     # above the search bound the invariant comparison still answers
     assert run(["isomorphic", "canonical(3,1,1)", "canonical(3,1,1)"]) == 0
+    # the search bound is fixed at 8: there is no --max-size option
+    assert run(["isomorphic", "identity(2)", "identity(2)", "--max-size", "3"]) == 2
 
 
 def test_enumerate_command(capsys):
@@ -255,6 +265,17 @@ def test_order_command(capsys):
     assert run(["order", f"{GOLDEN}/cycle_1432_c2.solution", "--cap", "8"]) == 0
     assert "order 4" in capsys.readouterr().out
     assert run(["order", f"{GOLDEN}/cycle_1432_c2.solution", "--cap", "3"]) == 1
+
+
+def test_order_command_is_bounded_by_the_table_not_the_cap(tmp_path, capsys):
+    # the order is about 3e14, so stepping powers up to the cap would run
+    # for hours; the answer comes from the cycle type instead
+    path = tmp_path / "primes.solution"
+    path.write_text(emit_solution(prime_cycles_table()))
+    started = time.monotonic()
+    assert run(["order", str(path), "--cap", "1000000000"]) == 1
+    assert time.monotonic() - started < 5
+    assert "no order within cap 1000000000" in capsys.readouterr().out
 
 
 def test_json_report_schema(capsys):
@@ -361,7 +382,6 @@ SOLUTION_FILES = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(COMMANDS), ref=EXPRESSIONS, as_json=st.booleans())
 @example(command=["classify"], ref="identity(" + "9" * 5000 + ")", as_json=False)
 def test_run_is_total_on_expressions(command, ref, as_json):
@@ -369,7 +389,6 @@ def test_run_is_total_on_expressions(command, ref, as_json):
     assert code in (0, 1, 2, 3)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(COMMANDS), body=SOLUTION_FILES)
 @example(command=["verify"], body=f"{HEADER}\nsize {'9' * 5000}\n".encode())
 def test_run_is_total_on_solution_files(command, body):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from pentagon import (
     Bijection,
@@ -10,7 +11,6 @@ from pentagon import (
     check_commutative,
     check_involutive,
     check_pentagon,
-    check_pentagon_equations,
     check_reversed_pentagon,
     canonical_solution,
     cycle_solution,
@@ -33,11 +33,18 @@ from pentagon import (
 )
 from pentagon.analysis import classify
 from pentagon.constructors import Decomposition, SigmaMap, group_from_cayley
-from pentagon.core import associativity_witness, compose_perms, inverse_perm
+from pentagon.core import (
+    associativity_witness,
+    chase_pentagon,
+    compose_perms,
+    inverse_perm,
+)
 
 from conftest import (
     bijective_finite_order_panel,
+    near_solutions,
     non_solution_panel,
+    prime_cycles_table,
     small_involutive_panel,
 )
 import oracles
@@ -85,7 +92,23 @@ def test_pentagon_routes_agree():
     for s in panel:
         expected = oracles.pentagon_oracle(s)
         assert check_pentagon(s) == expected
-        assert check_pentagon_equations(s) == expected
+        assert oracles.pentagon_equations_oracle(s) == expected
+
+
+@given(s=near_solutions())
+def test_pentagon_witness_is_the_least_failing_triple(s):
+    assert pentagon_witness(s) == oracles.pentagon_failure_oracle(s)
+
+
+@given(s=near_solutions(), data=st.data())
+def test_chase_on_a_partial_table_reports_only_real_failures(s, data):
+    # the search prunes on this chase, so a triple it finds with cells
+    # still blank must fail on the complete table too
+    n = s.size
+    keep = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    cells = [c if k else None for c, k in zip(s.entries, keep)]
+    found = chase_pentagon(cells, n)
+    assert found is None or found in oracles.pentagon_failures(s)
 
 
 def test_reversed_pentagon_examples():
@@ -133,6 +156,16 @@ def test_order_of_cap_and_degenerate():
     assert order_of(constant, 10) is None
     with pytest.raises(ValidationError):
         order_of(identity_solution(2), 0)
+
+
+def test_order_of_reads_the_cycle_type():
+    # an order near 3e14 comes back at once, and a cap one below it is a miss
+    s = prime_cycles_table()
+    assert order_of(s, 10**15) == 304250263527210
+    assert order_of(s, 304250263527209) is None
+    for t in bijective_finite_order_panel() + non_solution_panel():
+        for cap in range(1, 13):
+            assert order_of(t, cap) == oracles.order_oracle(t, cap)
 
 
 def test_commutative_examples():

@@ -16,7 +16,7 @@ from pentagon import (
     identity_solution,
     relabel,
 )
-from pentagon.enumeration import _triples_consistent
+from pentagon.core import chase_pentagon
 
 import oracles
 
@@ -67,16 +67,15 @@ def test_pruned_size_four():
 
 
 def test_soundness_post_hoc():
-    # re-verify emitted tables through the dictionary-composition oracle,
-    # a code path disjoint from the search's incremental checks
-    from pentagon import check_pentagon_equations
-
+    # re-verify emitted tables through the two oracles, the dictionary
+    # composition and the coordinate identities; check_pentagon shares the
+    # search's chase, so only the oracles are code paths disjoint from it
     for n in (1, 2, 3, 4):
         for s in enumerate_pruned(n):
             assert oracles.pentagon_oracle(s)
             assert oracles.involutive_oracle(s)
             assert check_pentagon(s)
-            assert check_pentagon_equations(s)
+            assert oracles.pentagon_equations_oracle(s)
             assert check_involutive(s)
 
 
@@ -123,7 +122,7 @@ def test_budget_covers_prefix_split(monkeypatch):
 
 
 def test_prefix_pruning_is_sound():
-    # every row-major prefix of a real solution passes the triple check,
+    # every row-major prefix of a real solution passes the pentagon chase,
     # so the search never prunes a branch that leads to a solution
     size_six = {
         relabel(canonical_solution(*shape), perm)
@@ -133,14 +132,14 @@ def test_prefix_pruning_is_sound():
     assert len(size_six) == 241
     tables = [s for n in range(1, 6) for s in enumerate_pruned(n)]
     for s in tables + list(size_six):
-        flat = s.flat()
-        assign = [-1] * len(flat)
-        for p, q in enumerate(flat):
-            if assign[p] >= 0:
+        n = s.size
+        cells = [None] * (n * n)
+        for p, (k, l) in enumerate(s.entries):
+            if cells[p] is not None:
                 continue  # written as the partner of an earlier cell
-            assign[p] = q
-            assign[q] = p
-            assert _triples_consistent(assign, s.size)
+            cells[p] = (k, l)
+            cells[k * n + l] = divmod(p, n)
+            assert chase_pentagon(cells, n) is None
 
 
 def test_expected_count_examples():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pentagon import (
     BudgetError,
@@ -153,7 +153,6 @@ def test_normal_forms_budget():
         normal_forms(identity_solution(4), 6, word_budget=100)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(
     size=st.integers(1, 3),
     length=st.integers(0, 5),
