@@ -349,6 +349,7 @@ def _cmd_enumerate(args, report: _Report) -> int:
             raw_count=rep.raw_count,
             class_count=rep.class_count,
             class_triples=triples,
+            search_nodes=rep.nodes,
         )
         for t in triples:
             report.lines.append(f"  class (x={t[0]}, a={t[1]}, g={t[2]})")

@@ -188,7 +188,9 @@ def perm_order(p: Sequence[int]) -> int:
 
 
 def chase_pentagon(
-    cells: Sequence[Optional[tuple[int, int]]], n: int
+    cells: Sequence[Optional[tuple[int, int]]],
+    n: int,
+    trail: Optional[list[int]] = None,
 ) -> Optional[tuple[int, int, int]]:
     """First triple (x, y, z) whose assigned cells break s23 s13 s12 = s12 s23.
 
@@ -197,35 +199,56 @@ def chase_pentagon(
     s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v); each part
     is compared once the cells it reads are assigned, so a triple found
     on a partial table fails on every completion of it.
+
+    With a `trail`, the chase also writes forced cells into the involutive
+    partial table `cells`: when c = p and (b,d) is unassigned, every
+    completion has s(b,d) = (q,v) and s(q,v) = (b,d), so both are written
+    and their indices appended to `trail` (a partner cell that holds
+    another value is a failure).  Passes repeat until one writes nothing;
+    the caller undoes the writes from the trail.
     """
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            ab = cells[xn + y]
-            if ab is None:
-                continue
-            a, b = ab
-            an, bn, yn = a * n, b * n, y * n
-            for z in range(n):
-                uv = cells[yn + z]
-                if uv is None:
+    while True:
+        wrote = False
+        for x in range(n):
+            xn = x * n
+            for y in range(n):
+                ab = cells[xn + y]
+                if ab is None:
                     continue
-                u, v = uv
-                cd = cells[an + z]
-                pq = cells[xn + u]
-                if cd is None or pq is None:
-                    continue
-                c, d = cd
-                p, q = pq
-                if c != p:
-                    return (x, y, z)
-                ef = cells[bn + d]
-                if ef is None:
-                    continue
-                e, f = ef
-                if e != q or f != v:
-                    return (x, y, z)
-    return None
+                a, b = ab
+                an, bn, yn = a * n, b * n, y * n
+                for z in range(n):
+                    uv = cells[yn + z]
+                    if uv is None:
+                        continue
+                    u, v = uv
+                    cd = cells[an + z]
+                    pq = cells[xn + u]
+                    if cd is None or pq is None:
+                        continue
+                    c, d = cd
+                    p, q = pq
+                    if c != p:
+                        return (x, y, z)
+                    ef = cells[bn + d]
+                    if ef is None:
+                        if trail is None:
+                            continue
+                        bd, qv = bn + d, q * n + v
+                        if qv != bd:
+                            if cells[qv] is not None:
+                                return (x, y, z)
+                            cells[qv] = (b, d)
+                            trail.append(qv)
+                        cells[bd] = (q, v)
+                        trail.append(bd)
+                        wrote = True
+                        continue
+                    e, f = ef
+                    if e != q or f != v:
+                        return (x, y, z)
+        if not wrote:
+            return None
 
 
 def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
@@ -380,10 +403,15 @@ def relabel(s: SolutionTable, perm: Sequence[int]) -> SolutionTable:
     images = perm.images if isinstance(perm, Bijection) else tuple(perm)
     if sorted(images) != list(range(s.size)):
         raise ValidationError("relabeling is not a permutation of the carrier")
-    inv = inverse_perm(images)
+    return SolutionTable(s.size, relabel_cells(s.entries, images, s.size))
 
-    def fn(i, j):
-        k, l = s.apply(inv[i], inv[j])
-        return (images[k], images[l])
 
-    return SolutionTable.from_function(s.size, fn)
+def relabel_cells(
+    cells: Sequence[tuple[int, int]], images: Sequence[int], n: int
+) -> tuple[tuple[int, int], ...]:
+    """The entries of `relabel` on a bare row-major cell sequence."""
+    out: list = [None] * (n * n)
+    for idx, (k, l) in enumerate(cells):
+        i, j = divmod(idx, n)
+        out[images[i] * n + images[j]] = (images[k], images[l])
+    return tuple(out)

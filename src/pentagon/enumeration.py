@@ -1,10 +1,13 @@
 """Exhaustive search for involutive pentagon solutions on small carriers.
 
 One backtracking search interleaves the pentagon checks with the
-assignment of entries.  The search runs on raw tables, so nothing about
-the classification theory is assumed; the theory becomes a checkable
-output.  The naive route (every involution of the n^2 pair points,
-filtered) lives with the test oracles.
+assignment of entries, in a symmetry-broken cell order that reaches at
+least one table of every isomorphism class; relabelling those tables by
+every permutation of the carrier then gives every table.  The search
+runs on raw tables, so nothing about the classification theory is
+assumed; the theory becomes a checkable output.  The row-major search
+without symmetry breaking and the naive route (every involution of the
+n^2 pair points, filtered) live with the test oracles.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .core import (
     ValidationError,
     chase_pentagon,
     relabel,
+    relabel_cells,
 )
 from .analysis import classify, find_isomorphism
 
@@ -31,23 +35,40 @@ class EnumerationReport:
     class_count: int
     representatives: tuple[SolutionTable, ...]
     class_triples: tuple[tuple[int, int, int], ...]  # one per representative
+    nodes: int  # assignments the search tried, independent of the workers
     elapsed: float
+
+
+@dataclass
+class SearchStats:
+    """Deterministic counters of one search, whatever the worker count."""
+
+    nodes: int = 0  # assignments tried, the split included
 
 
 # ---------------------------------------------------------------------------
 # pruned backtracking
 #
-# Entries are assigned in lexicographic (i, j) order and values tried in
-# lexicographic (k, l) order; unassigned cells hold None, and writing
-# s(p) = q immediately writes s(q) = p.  After every assignment the
-# pentagon chase of core runs on the partial table, and a failing triple
-# backtracks.
+# Cells are visited in the least-number order of SEM (Zhang & Zhang,
+# IJCAI 1995): shell by shell, (max(i, j), i, j).  Unassigned cells hold
+# None, and writing s(p) = q immediately writes s(q) = p.  Let m be the
+# largest element mentioned so far by an assigned cell or by the current
+# cell's indices; the mentioned elements are always 0..m, the others
+# interchangeable, so only values (k, l) with k <= m+1 and
+# l <= max(m, k)+1 are tried: every solution has a relabelling that the
+# search reaches.  After every assignment the pentagon chase of core runs
+# on the partial table, writes the cells it forces (they mention only
+# elements <= m) and backtracks on a failing triple; the trail undoes
+# both kinds of write.
 
 _CHECK_INTERVAL = 1024
 
 
 class _Deadline:
-    """Absolute point on the monotonic clock; shared across worker processes."""
+    """Absolute point on the monotonic clock; shared across worker processes.
+
+    `ticks` counts the calls to `expired`, one per assignment tried.
+    """
 
     def __init__(self, at: float | None):
         self.at = at
@@ -59,78 +80,122 @@ class _Deadline:
             return cls(None)
         return cls(time.monotonic() + budget_ms / 1000.0)
 
+    def passed(self) -> bool:
+        return self.at is not None and time.monotonic() > self.at
+
     def expired(self) -> bool:
-        if self.at is None:
-            return False
         self.ticks += 1
-        if self.ticks % _CHECK_INTERVAL:
-            return False
-        return time.monotonic() > self.at
+        return not self.ticks % _CHECK_INTERVAL and self.passed()
 
 
-def _search(n: int, cells: list, start: int, deadline: _Deadline,
-            out: list[tuple], depth: int = -1) -> None:
+def _cell_order(n: int) -> list[int]:
+    """Cell indices i * n + j in (max(i, j), i, j) order."""
+    return sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
+
+
+def _search(n: int, cells: list, order: list[int], pos: int, m: int,
+            trail: list[int], deadline: _Deadline, out: list[tuple],
+            depth: int = -1) -> None:
     """Append every consistent extension of `cells` to `out`.
 
-    An extension stops at a complete table or after `depth` more
-    decisions, whichever comes first; a negative depth never stops early.
+    Cells before `pos` in `order` are assigned and m is the largest
+    element they mention.  An extension stops at a complete table or
+    after `depth` more decisions, whichever comes first; a negative depth
+    never stops early.
     """
-    m = n * n
-    p = start
-    while p < m and cells[p] is not None:
-        p += 1
-    if p == m or depth == 0:
+    end = len(order)
+    while pos < end and cells[order[pos]] is not None:
+        pos += 1
+    if pos == end or depth == 0:
         out.append(tuple(cells))
         return
-    for q in range(p, m):
-        if q != p and cells[q] is not None:
-            continue
-        if deadline.expired():
-            raise BudgetError("enumeration budget exceeded")
-        cells[p] = divmod(q, n)
-        cells[q] = divmod(p, n)
-        if chase_pentagon(cells, n) is None:
-            _search(n, cells, p + 1, deadline, out, depth - 1)
-        cells[p] = None
-        cells[q] = None
+    p = order[pos]
+    i, j = divmod(p, n)
+    m = max(m, i, j)
+    for k in range(min(m + 2, n)):
+        for l in range(min(max(m, k) + 2, n)):
+            q = k * n + l
+            if q != p and cells[q] is not None:
+                continue
+            if deadline.expired():
+                raise BudgetError("enumeration budget exceeded")
+            mark = len(trail)
+            cells[p] = (k, l)
+            cells[q] = (i, j)
+            trail.append(p)
+            if q != p:
+                trail.append(q)
+            if chase_pentagon(cells, n, trail) is None:
+                _search(n, cells, order, pos + 1, max(m, k, l), trail,
+                        deadline, out, depth - 1)
+            while len(trail) > mark:
+                cells[trail.pop()] = None
 
 
-def _run_prefix(args) -> list[tuple]:
+def _finish(n: int, prefix: tuple, deadline: _Deadline, out: list[tuple]):
+    """Every complete table extending a prefix that `_search` emitted."""
+    m = max((max(c) for c in prefix if c is not None), default=-1)
+    _search(n, list(prefix), _cell_order(n), 0, m, [], deadline, out)
+
+
+def _run_prefix(args) -> tuple[list[tuple], int]:
     n, prefix, deadline_at = args
+    deadline = _Deadline(deadline_at)
     out: list[tuple] = []
-    _search(n, list(prefix), 0, _Deadline(deadline_at), out)
-    return out
+    _finish(n, prefix, deadline, out)
+    return out, deadline.ticks
+
+
+def _orbits(n: int, tables: list[tuple]) -> list[tuple]:
+    """Every relabelling of the tables under Sym(n), sorted, without repeats."""
+    seen: set[tuple] = set()
+    for t in tables:
+        if t not in seen:  # otherwise its whole orbit is in already
+            seen.update(relabel_cells(t, p, n) for p in permutations(range(n)))
+    return sorted(seen)  # (k, l) pairs sort like their codes k*n + l
 
 
 def enumerate_pruned(
-    n: int, budget_ms: float | None = None, workers: int = 1
+    n: int,
+    budget_ms: float | None = None,
+    workers: int = 1,
+    stats: SearchStats | None = None,
 ) -> list[SolutionTable]:
     """Every involutive solution of size n, sorted; sizes 1..6.
 
-    The search splits into prefixes after two decisions, then finishes
-    each one, in this process or on `workers` processes.  Raises
-    BudgetError instead of silently truncating when the time budget runs
-    out, splitting included.  The output is independent of the worker
-    count.
+    The symmetry-broken search finds at least one table of every
+    isomorphism class; their orbits under Sym(n) give every table.  The
+    search splits into prefixes after two decisions, then finishes each
+    one, in this process or on `workers` processes.  Raises BudgetError
+    instead of silently truncating when the time budget runs out,
+    splitting included.  The output, and the node count left in `stats`,
+    are independent of the worker count.
     """
     if not 1 <= n <= 6:
         raise ValidationError("pruned enumeration is limited to sizes 1..6")
     deadline = _Deadline.after_ms(budget_ms)
     prefixes: list[tuple] = []
-    _search(n, [None] * (n * n), 0, deadline, prefixes, depth=2)
+    _search(n, [None] * (n * n), _cell_order(n), 0, -1, [], deadline,
+            prefixes, depth=2)
+    # the split tries too few assignments for the sampled check to fire
+    if deadline.passed():
+        raise BudgetError("enumeration budget exceeded")
     tables: list[tuple] = []
+    worker_ticks = 0
     if workers <= 1 or len(prefixes) < 2:
         for prefix in prefixes:
-            _search(n, list(prefix), 0, deadline, tables)
+            _finish(n, prefix, deadline, tables)
     else:
         import multiprocessing
 
         tasks = [(n, prefix, deadline.at) for prefix in prefixes]
         with multiprocessing.Pool(workers) as pool:
-            for chunk in pool.imap_unordered(_run_prefix, tasks):
+            for chunk, ticks in pool.imap_unordered(_run_prefix, tasks):
                 tables.extend(chunk)
-    tables.sort()  # (k, l) pairs sort like their codes k*n + l
-    return [SolutionTable(n, t) for t in tables]
+                worker_ticks += ticks
+    if stats is not None:
+        stats.nodes = deadline.ticks + worker_ticks
+    return [SolutionTable(n, t) for t in _orbits(n, tables)]
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +227,14 @@ def count_up_to_iso(
 
     Grouping uses the classification triple for every size and, up to
     size 4, an explicit isomorphism search as a cross-check; the two
-    partitions must agree.
+    partitions must agree.  Each class is a complete orbit and the table
+    list is sorted, so its first table is its canonical form.
     """
     started = time.monotonic()
-    tables = enumerate_pruned(n, budget_ms=budget_ms, workers=workers)
+    stats = SearchStats()
+    tables = enumerate_pruned(
+        n, budget_ms=budget_ms, workers=workers, stats=stats
+    )
 
     by_triple: dict[tuple[int, int, int], list[SolutionTable]] = {}
     for t in tables:
@@ -193,7 +262,7 @@ def count_up_to_iso(
             )
 
     classes = sorted(
-        ((canonical_form(grp[0]), triple) for triple, grp in by_triple.items()),
+        ((grp[0], triple) for triple, grp in by_triple.items()),
         key=lambda rt: rt[0].entries,
     )
     return EnumerationReport(
@@ -202,5 +271,6 @@ def count_up_to_iso(
         class_count=len(by_triple),
         representatives=tuple(rep for rep, _ in classes),
         class_triples=tuple(triple for _, triple in classes),
+        nodes=stats.nodes,
         elapsed=time.monotonic() - started,
     )

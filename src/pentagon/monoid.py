@@ -26,6 +26,8 @@ from .analysis import classify
 Word = tuple[int, ...]
 
 DEFAULT_WORD_BUDGET = 1 << 24
+# the word budget bounds one stratum, not how many of them are closed
+MAX_GROWTH_LENGTH = 1000
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,10 @@ def _strata(
     """
     if length < 0:
         raise ValidationError("length must be non-negative")
+    if length > MAX_GROWTH_LENGTH:
+        raise ValidationError(
+            f"length {length} exceeds the cap of {MAX_GROWTH_LENGTH}"
+        )
     n = pres.generators
     rewrites = _rewrites(pres)
     strata = [array("i", [0])]

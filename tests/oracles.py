@@ -2,12 +2,16 @@
 
 Everything here evaluates the composite-map identities literally, as
 dictionaries on the full triple set, sharing no code with the package
-internals.  Slow and obviously correct is the point.
+internals.  Slow and obviously correct is the point.  The one exception
+is `row_major_tables`, the search without symmetry breaking, which prunes
+with the package's read-only pentagon chase (itself checked against
+`pentagon_failures` in the core tests).
 """
 
 from itertools import permutations
 
 from pentagon import SolutionTable
+from pentagon.core import chase_pentagon
 
 
 def as_map(s: SolutionTable) -> dict:
@@ -251,6 +255,33 @@ def naive_tables(n: int) -> list:
     return sorted(
         (s for s in tables if pentagon_oracle(s)), key=lambda t: t.entries
     )
+
+
+def _row_major(n, cells, start, out):
+    p = start
+    while p < n * n and cells[p] is not None:
+        p += 1
+    if p == n * n:
+        out.append(tuple(cells))
+        return
+    for q in range(p, n * n):
+        if q != p and cells[q] is not None:
+            continue
+        cells[p] = divmod(q, n)
+        cells[q] = divmod(p, n)
+        if chase_pentagon(cells, n) is None:
+            _row_major(n, cells, p + 1, out)
+        cells[p] = None
+        cells[q] = None
+
+
+def row_major_tables(n: int) -> list:
+    """Every involutive solution of size n, sorted by entries, from the
+    search without symmetry breaking or forced cells: cells in row-major
+    order, every value whose partner cell is free, pruned by the chase."""
+    out = []
+    _row_major(n, [None] * (n * n), 0, out)
+    return [SolutionTable(n, t) for t in sorted(out)]
 
 
 def random_table(n, rng) -> SolutionTable:

@@ -261,6 +261,15 @@ def test_growth_budget(capsys):
     assert code == 3
 
 
+def test_growth_length_is_capped_before_any_stratum(capsys):
+    # the word budget bounds one stratum, not how many are closed
+    started = time.monotonic()
+    assert run(["growth", "identity(1)", "--length", "1000000000"]) == 2
+    assert time.monotonic() - started < 5
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert run(["growth", "identity(1)", "--length", "1000"]) == 0
+
+
 def test_order_command(capsys):
     assert run(["order", f"{GOLDEN}/cycle_1432_c2.solution", "--cap", "8"]) == 0
     assert "order 4" in capsys.readouterr().out

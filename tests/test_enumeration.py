@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 
 import pytest
@@ -16,9 +17,20 @@ from pentagon import (
     identity_solution,
     relabel,
 )
+from pentagon.cli import run
 from pentagon.core import chase_pentagon
+from pentagon.enumeration import _cell_order
 
 import oracles
+
+
+def size_six_tables():
+    """Every size-6 solution: the relabellings of its three classes."""
+    return frozenset(
+        relabel(canonical_solution(*shape), perm)
+        for shape in ((6, 0, 0), (3, 1, 0), (3, 0, 1))
+        for perm in permutations(range(6))
+    )
 
 
 def test_naive_size_one():
@@ -109,8 +121,9 @@ def test_budget_exceeded_raises_with_workers():
 
 
 def test_budget_covers_prefix_split(monkeypatch):
-    # the size-6 split alone makes more deadline calls than one check
-    # interval, so a spent budget must stop it before any worker starts
+    # the size-6 split makes fewer deadline calls than one check interval,
+    # so the deadline is also checked once between the split and the
+    # workers: a spent budget must stop the search before any worker starts
     import multiprocessing
 
     def no_pool(*args, **kwargs):
@@ -123,15 +136,13 @@ def test_budget_covers_prefix_split(monkeypatch):
 
 def test_prefix_pruning_is_sound():
     # every row-major prefix of a real solution passes the pentagon chase,
-    # so the search never prunes a branch that leads to a solution
-    size_six = {
-        relabel(canonical_solution(*shape), perm)
-        for shape in ((6, 0, 0), (3, 1, 0), (3, 0, 1))
-        for perm in permutations(range(6))
-    }
+    # and so does every prefix in the search's (max(i, j), i, j) order with
+    # forced cells written; every forced cell is the solution's own entry,
+    # so the search never prunes or forces its way past a solution
+    size_six = size_six_tables()
     assert len(size_six) == 241
     tables = [s for n in range(1, 6) for s in enumerate_pruned(n)]
-    for s in tables + list(size_six):
+    for s in tables + sorted(size_six, key=lambda t: t.entries):
         n = s.size
         cells = [None] * (n * n)
         for p, (k, l) in enumerate(s.entries):
@@ -140,6 +151,48 @@ def test_prefix_pruning_is_sound():
             cells[p] = (k, l)
             cells[k * n + l] = divmod(p, n)
             assert chase_pentagon(cells, n) is None
+        cells = [None] * (n * n)
+        trail = []
+        for p in _cell_order(n):
+            if cells[p] is not None:
+                continue  # a partner or a forced cell
+            k, l = s.entries[p]
+            cells[p] = (k, l)
+            cells[k * n + l] = divmod(p, n)
+            assert chase_pentagon(cells, n, trail) is None
+            assert all(cells[q] == s.entries[q] for q in trail)
+        assert tuple(cells) == s.entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetry_broken_search_matches_row_major(n):
+    want = oracles.row_major_tables(n)
+    assert enumerate_pruned(n, workers=1) == want
+    assert enumerate_pruned(n, workers=2) == want
+
+
+def test_size_six_is_every_relabelling_of_three_classes():
+    tables = enumerate_pruned(6, workers=2)
+    assert tables == sorted(size_six_tables(), key=lambda t: t.entries)
+
+
+def test_representatives_are_canonical_forms():
+    # the first table of a complete sorted orbit is its canonical form
+    for n in range(1, 7):
+        report = count_up_to_iso(n, workers=2 if n == 6 else 1)
+        assert report.class_count == expected_count(n)
+        for rep in report.representatives:
+            assert canonical_form(rep) == rep
+
+
+def test_search_nodes_at_size_five(capsys):
+    # assignments tried by the symmetry-broken search with forced cells;
+    # the row-major search without either tried 354,259
+    assert count_up_to_iso(5).nodes == 27389
+    assert run(["--json", "enumerate", "--size", "5", "--up-to-iso",
+                "--workers", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["search_nodes"] == 27389
 
 
 def test_expected_count_examples():

@@ -18,7 +18,7 @@ from pentagon import (
     rank_expected,
     series_from_presentation,
 )
-from pentagon.monoid import MonoidPresentation
+from pentagon.monoid import MAX_GROWTH_LENGTH, MonoidPresentation
 
 import oracles
 from conftest import small_involutive_panel
@@ -84,6 +84,12 @@ def test_growth_series_budget():
 def test_growth_series_bad_arguments():
     with pytest.raises(ValidationError):
         growth_series(identity_solution(2), -1)
+    cap = MAX_GROWTH_LENGTH
+    assert len(growth_series(identity_solution(1), cap).counts) == cap + 1
+    with pytest.raises(ValidationError):
+        growth_series(identity_solution(1), cap + 1)
+    with pytest.raises(ValidationError):
+        normal_forms(identity_solution(1), cap + 1)
 
 
 def test_rank_expected_examples():
