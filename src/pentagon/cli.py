@@ -253,11 +253,15 @@ def _cmd_verify(args, report: _Report) -> int:
     unknown = [a for a in names if a not in AXIOM_CHECKS]
     if unknown:
         raise ValidationError(f"unknown axioms: {', '.join(unknown)}")
-    verdicts = {a: AXIOM_CHECKS[a](s) for a in names}
+    # "pe" reads its verdict off the witness, which a failure prints
+    witness = pentagon_witness(s) if "pe" in names else None
+    verdicts = {
+        a: witness is None if a == "pe" else AXIOM_CHECKS[a](s) for a in names
+    }
     for a, ok in verdicts.items():
         report.say(f"{a}: {'holds' if ok else 'FAILS'}")
-    if not verdicts.get("pe", True):
-        x, y, z = pentagon_witness(s)
+    if witness is not None:
+        x, y, z = witness
         report.say(
             f"  first failing triple ({x}, {y}, {z})", pe_witness=[x, y, z]
         )

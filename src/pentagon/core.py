@@ -184,7 +184,10 @@ def perm_order(p: Sequence[int]) -> int:
 #
 # Composition is right to left throughout: in a product like s23 s13 s12
 # the map s12 acts first.  A triple (x, y, z) is evaluated by chasing the
-# tables directly, which keeps every predicate total.
+# tables directly, which keeps every predicate total.  The pentagon check
+# of a complete table with at most 256 elements composes whole rows as
+# bytes instead (`pentagon_witness`); the triple chase serves the search's
+# partial tables and larger carriers.
 
 
 def chase_pentagon(
@@ -206,6 +209,9 @@ def chase_pentagon(
     and their indices appended to `trail` (a partner cell that holds
     another value is a failure).  Passes repeat until one writes nothing;
     the caller undoes the writes from the trail.
+
+    `pentagon_witness` checks complete tables of up to 256 elements by
+    byte rows; this chase serves partial tables and larger carriers.
     """
     while True:
         wrote = False
@@ -251,9 +257,44 @@ def chase_pentagon(
             return None
 
 
+# Rows of a complete table whose entries fit in a byte are composed with
+# `bytes.translate`; larger carriers go through `chase_pentagon`.
+_BYTE_RANGE = 256
+
+
 def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
-    """First triple (x, y, z) where s23 s13 s12 != s12 s23, or None."""
-    return chase_pentagon(s.entries, s.size)
+    """First triple (x, y, z) where s23 s13 s12 != s12 s23, or None.
+
+    With M[i] and T[i] the coordinate rows of s (s(i, j) = (M[i][j],
+    T[i][j])), the z-rows of `chase_pentagon`'s names are c = M[a],
+    p = M[x] o M[y], e = M[b] o T[a], q = T[x] o M[y], f = T[b] o T[a] and
+    v = T[y], each one `bytes.translate` at most, so a pair (x, y) holds
+    for every z when three pairs of rows are equal.  Only the first pair
+    that fails is walked by z.
+    """
+    n = s.size
+    if n > _BYTE_RANGE:
+        return chase_pentagon(s.entries, n)
+    ent = s.entries
+    pad = bytes(256 - n)  # a translation table maps all 256 byte values
+    firsts, seconds = bytes([k for k, _ in ent]), bytes([l for _, l in ent])
+    M = [firsts[i:i + n] for i in range(0, n * n, n)]
+    T = [seconds[i:i + n] for i in range(0, n * n, n)]
+    Mpad = [row + pad for row in M]
+    Tpad = [row + pad for row in T]
+    for x in range(n):
+        mx, tx, xn = Mpad[x], Tpad[x], x * n
+        for y in range(n):
+            a, b = ent[xn + y]
+            my, ta = M[y], T[a]
+            c, p = M[a], my.translate(mx)
+            e, q = ta.translate(Mpad[b]), my.translate(tx)
+            f, v = ta.translate(Tpad[b]), T[y]
+            if c != p or e != q or f != v:
+                for z in range(n):
+                    if c[z] != p[z] or e[z] != q[z] or f[z] != v[z]:
+                        return (x, y, z)
+    return None
 
 
 def associativity_witness(
@@ -276,21 +317,12 @@ def check_pentagon(s: SolutionTable) -> bool:
 
 
 def check_reversed_pentagon(s: SolutionTable) -> bool:
-    """Whether s satisfies t12 t13 t23 = t23 t12 (s playing the role of t)."""
-    n = s.size
-    ent = s.entries
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            a, b = ent[xn + y]
-            for z in range(n):
-                u, v = ent[y * n + z]
-                c, d = ent[xn + v]
-                e, f = ent[c * n + u]
-                g, h = ent[b * n + z]
-                if e != a or f != g or d != h:
-                    return False
-    return True
+    """Whether s satisfies t12 t13 t23 = t23 t12 (s playing the role of t).
+
+    Conjugating by (x, y, z) -> (z, y, x) turns s12, s13, s23 into t23,
+    t13, t12 for t = tau s tau, so this is the pentagon equation of t.
+    """
+    return check_pentagon(flip_conjugate(s))
 
 
 def check_involutive(s: SolutionTable) -> bool:
@@ -324,20 +356,9 @@ def check_commutative(s: SolutionTable) -> bool:
 
 
 def check_cocommutative(s: SolutionTable) -> bool:
-    """Whether s13 s23 = s23 s13 holds on all triples."""
-    n = s.size
-    ent = s.entries
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            for z in range(n):
-                u, v = ent[y * n + z]
-                a, b = ent[xn + v]
-                c, d = ent[xn + z]
-                e, f = ent[y * n + d]
-                if a != c or u != e or b != f:
-                    return False
-    return True
+    """Whether s13 s23 = s23 s13 holds on all triples: the same conjugation
+    as in `check_reversed_pentagon` makes this s12 s13 = s13 s12 for t."""
+    return check_commutative(flip_conjugate(s))
 
 
 def order_of(s: SolutionTable, cap: int) -> Optional[int]:

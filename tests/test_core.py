@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,7 @@ from pentagon import (
     trivial_group,
     xor_group,
 )
+from pentagon import core
 from pentagon.analysis import classify
 from pentagon.constructors import Decomposition, SigmaMap, group_from_cayley
 from pentagon.core import (
@@ -109,6 +112,74 @@ def test_chase_on_a_partial_table_reports_only_real_failures(s, data):
     cells = [c if k else None for c, k in zip(s.entries, keep)]
     found = chase_pentagon(cells, n)
     assert found is None or found in oracles.pentagon_failures(s)
+
+
+# every canonical shape whose carrier has 16..64 elements
+LARGE_SHAPES = [
+    (x, a, g)
+    for a in range(7)
+    for g in range(7 - a)
+    for x in range(1, 65)
+    if 16 <= x << (a + g) <= 64
+]
+
+
+def large_near_misses():
+    """Each large shape under a seeded relabelling, with a one-cell and a
+    two-cell overwrite of it."""
+    rng = random.Random(20240305)
+    for shape in LARGE_SHAPES:
+        s = canonical_solution(*shape)
+        n = s.size
+        perm = list(range(n))
+        rng.shuffle(perm)
+        s = relabel(s, perm)
+        misses = []
+        for overwritten in (1, 2):
+            cells = list(s.entries)
+            for _ in range(overwritten):
+                cells[rng.randrange(n * n)] = (rng.randrange(n), rng.randrange(n))
+            misses.append(SolutionTable(n, tuple(cells)))
+        yield s, misses
+
+
+def test_byte_rows_agree_with_the_chase_on_large_tables():
+    for s, misses in large_near_misses():
+        # a solution, where the chase returns None after n^3 lookups
+        assert pentagon_witness(s) is None
+        for t in misses:
+            assert pentagon_witness(t) == chase_pentagon(t.entries, t.size)
+
+
+def witness_with_chase_spy(s, byte_range):
+    """`pentagon_witness(s)` under a given byte range, with the carrier
+    sizes the chase was called on."""
+    sizes = []
+
+    def chase(cells, n, trail=None):
+        sizes.append(n)
+        return chase_pentagon(cells, n, trail)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BYTE_RANGE", byte_range)
+        mp.setattr(core, "chase_pentagon", chase)
+        return pentagon_witness(s), sizes
+
+
+@given(s=near_solutions())
+def test_carriers_beyond_the_byte_range_take_the_chase(s):
+    found, sizes = witness_with_chase_spy(s, 2)
+    assert found == oracles.pentagon_failure_oracle(s)
+    assert sizes == ([s.size] if s.size > 2 else [])
+
+
+def test_byte_rows_cover_exactly_the_byte_range():
+    # s(0, 1) = (1, 1) on the identity first fails at c != p for (0, 2, 1)
+    for n, sizes in ((256, []), (257, [257])):
+        cells = list(identity_solution(n).entries)
+        cells[1] = (1, 1)
+        t = SolutionTable(n, tuple(cells))
+        assert witness_with_chase_spy(t, 256) == ((0, 2, 1), sizes)
 
 
 def test_reversed_pentagon_examples():
