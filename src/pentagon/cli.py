@@ -16,6 +16,7 @@ lexicographically in (i, j) with single spaces and a trailing newline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -414,6 +415,7 @@ def _cmd_order(args, report: _Report) -> int:
 # argument parsing
 
 
+@functools.cache  # built on the first run, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pentagon",

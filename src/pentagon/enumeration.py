@@ -22,10 +22,9 @@ from .core import (
     SolutionTable,
     ValidationError,
     chase_pentagon,
-    relabel,
     relabel_cells,
 )
-from .analysis import classify, find_isomorphism
+from .analysis import classify
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,17 @@ def _run_prefix(args) -> tuple[list[tuple], int]:
     return out, deadline.ticks
 
 
+def _orbit(n: int, cells: tuple) -> set[tuple]:
+    """Every relabelling of one complete table under Sym(n)."""
+    return {relabel_cells(cells, p, n) for p in permutations(range(n))}
+
+
 def _orbits(n: int, tables: list[tuple]) -> list[tuple]:
     """Every relabelling of the tables under Sym(n), sorted, without repeats."""
     seen: set[tuple] = set()
     for t in tables:
         if t not in seen:  # otherwise its whole orbit is in already
-            seen.update(relabel_cells(t, p, n) for p in permutations(range(n)))
+            seen |= _orbit(n, t)
     return sorted(seen)  # (k, l) pairs sort like their codes k*n + l
 
 
@@ -189,7 +193,7 @@ def enumerate_pruned(
         import multiprocessing
 
         tasks = [(n, prefix, deadline.at) for prefix in prefixes]
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(prefixes))) as pool:
             for chunk, ticks in pool.imap_unordered(_run_prefix, tasks):
                 tables.extend(chunk)
                 worker_ticks += ticks
@@ -200,16 +204,14 @@ def enumerate_pruned(
 
 # ---------------------------------------------------------------------------
 # isomorphism classes
+#
+# On the fixed carrier 0..n-1 two tables are isomorphic exactly when one
+# is a relabelling of the other, so the classes are the Sym(n)-orbits.
 
 
 def canonical_form(s: SolutionTable) -> SolutionTable:
     """Lexicographically smallest relabeling of the table."""
-    best = None
-    for p in permutations(range(s.size)):
-        cand = relabel(s, p).entries
-        if best is None or cand < best:
-            best = cand
-    return SolutionTable(s.size, best)
+    return SolutionTable(s.size, min(_orbit(s.size, s.entries)))
 
 
 def expected_count(n: int) -> int:
@@ -225,52 +227,38 @@ def count_up_to_iso(
 ) -> EnumerationReport:
     """Enumerate, then group into isomorphism classes.
 
-    Grouping uses the classification triple for every size and, up to
-    size 4, an explicit isomorphism search as a cross-check; the two
-    partitions must agree.  Each class is a complete orbit and the table
-    list is sorted, so its first table is its canonical form.
+    The classes are the orbits under Sym(n).  The table list is sorted,
+    so the first table not yet covered by an orbit is the least of its
+    own, its canonical form, and becomes the class representative.
+    `classify` runs once per class; two classes with the same triple
+    contradict the classification theorem and raise ValidationError.
     """
     started = time.monotonic()
     stats = SearchStats()
     tables = enumerate_pruned(
         n, budget_ms=budget_ms, workers=workers, stats=stats
     )
-
-    by_triple: dict[tuple[int, int, int], list[SolutionTable]] = {}
+    covered: set[tuple] = set()
+    reps: list[SolutionTable] = []
+    triples: list[tuple[int, int, int]] = []
     for t in tables:
+        if t.entries in covered:
+            continue
+        covered |= _orbit(n, t.entries)
         c = classify(t)
-        by_triple.setdefault((c.x_size, c.a_dim, c.g_dim), []).append(t)
-
-    if n <= 4:
-        reps: list[SolutionTable] = []
-        groups: list[list[SolutionTable]] = []
-        for t in tables:
-            for i, r in enumerate(reps):
-                if r.size == t.size and find_isomorphism(r, t) is not None:
-                    groups[i].append(t)
-                    break
-            else:
-                reps.append(t)
-                groups.append([t])
-        explicit = {frozenset(g.entries for g in grp) for grp in groups}
-        invariant = {
-            frozenset(g.entries for g in grp) for grp in by_triple.values()
-        }
-        if explicit != invariant:
+        triple = (c.x_size, c.a_dim, c.g_dim)
+        if triple in triples:
             raise ValidationError(
-                "isomorphism search and invariant grouping disagree"
+                f"two isomorphism classes share the triple {triple}"
             )
-
-    classes = sorted(
-        ((grp[0], triple) for triple, grp in by_triple.items()),
-        key=lambda rt: rt[0].entries,
-    )
+        reps.append(t)
+        triples.append(triple)
     return EnumerationReport(
         size=n,
         raw_count=len(tables),
-        class_count=len(by_triple),
-        representatives=tuple(rep for rep, _ in classes),
-        class_triples=tuple(triple for _, triple in classes),
+        class_count=len(reps),
+        representatives=tuple(reps),
+        class_triples=tuple(triples),
         nodes=stats.nodes,
         elapsed=time.monotonic() - started,
     )

@@ -2,15 +2,17 @@
 
 Everything here evaluates the composite-map identities literally, as
 dictionaries on the full triple set, sharing no code with the package
-internals.  Slow and obviously correct is the point.  The one exception
-is `row_major_tables`, the search without symmetry breaking, which prunes
+internals.  Slow and obviously correct is the point.  Two exceptions:
+`row_major_tables`, the search without symmetry breaking, which prunes
 with the package's read-only pentagon chase (itself checked against
-`pentagon_failures` in the core tests).
+`pentagon_failures` in the core tests), and `canonical_form_oracle`, which
+takes the least of the package's validated `relabel` one permutation at a
+time instead of building the orbit as a set.
 """
 
 from itertools import permutations
 
-from pentagon import SolutionTable
+from pentagon import SolutionTable, relabel
 from pentagon.core import chase_pentagon
 
 
@@ -149,6 +151,16 @@ def brute_isomorphism(s: SolutionTable, t: SolutionTable):
         if morphism_oracle(f, s, t):
             return f
     return None
+
+
+def canonical_form_oracle(s: SolutionTable) -> SolutionTable:
+    """Lexicographically smallest relabeling of the table."""
+    best = None
+    for p in permutations(range(s.size)):
+        cand = relabel(s, p).entries
+        if best is None or cand < best:
+            best = cand
+    return SolutionTable(s.size, best)
 
 
 def decomposition_oracle(x: int, a: int, g: int, perms) -> SolutionTable:

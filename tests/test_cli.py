@@ -15,9 +15,11 @@ from pentagon import (
     irretractable_solution,
 )
 from pentagon.cli import (
+    DEFAULT_WORD_BUDGET,
     HEADER,
     MAX_EXPRESSION_CELLS,
     ParseError,
+    _build_parser,
     emit_solution,
     load_solution,
     parse_sigma_text,
@@ -270,6 +272,15 @@ def test_growth_length_is_capped_before_any_stratum(capsys):
     assert run(["growth", "identity(1)", "--length", "1000"]) == 0
 
 
+def test_sigma_search_size_is_capped_before_any_permutation(capsys):
+    # sigma-search tries all n! permutations, so n itself is bounded
+    started = time.monotonic()
+    assert run(["sigma-search", "--n", "1000000"]) == 2
+    assert time.monotonic() - started < 5
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert run(["sigma-search", "--n", "4"]) == 0
+
+
 def test_order_command(capsys):
     assert run(["order", f"{GOLDEN}/cycle_1432_c2.solution", "--cap", "8"]) == 0
     assert "order 4" in capsys.readouterr().out
@@ -311,6 +322,38 @@ def test_reports_byte_identical_modulo_elapsed(capsys):
     base = json.loads(first)
     alt = json.loads(with_workers)
     assert base["results"] == alt["results"]
+
+
+def test_one_parser_serves_every_run(capsys):
+    # the parser is built once per process; a value given to one run must
+    # not leak into a later run of the same or another subcommand
+    sequence = [
+        ["--json", "growth", "identity(2)", "--length", "3",
+         "--word-budget", "100"],
+        ["--json", "growth", "identity(2)", "--length", "3"],
+        ["--json", "verify", "canonical(1,1,0)"],
+        ["--json", "classify", "canonical(3,1,1)"],
+    ]
+    want_inputs = [
+        {"solution": "identity(2)", "length": 3, "word_budget": 100},
+        {"solution": "identity(2)", "length": 3,
+         "word_budget": DEFAULT_WORD_BUDGET},
+        {"solution": "canonical(1,1,0)", "axioms": "pe"},
+        {"solution": "canonical(3,1,1)"},
+    ]
+    rounds = []
+    for _ in range(2):
+        assert run(["--json", "enumerate", "--up-to-iso"]) == 2
+        assert "--size" in capsys.readouterr().err
+        reports = []
+        for argv in sequence:
+            assert run(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            reports.append((payload["inputs"], payload["results"]))
+        rounds.append(reports)
+    assert rounds[0] == rounds[1]
+    assert [inputs for inputs, _ in rounds[0]] == want_inputs
+    assert _build_parser() is _build_parser()
 
 
 def test_malformed_file_never_raises(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from pentagon import (
     BudgetError,
+    ClassificationTriple,
     ValidationError,
     canonical_form,
     canonical_solution,
@@ -14,23 +15,29 @@ from pentagon import (
     count_up_to_iso,
     enumerate_pruned,
     expected_count,
+    find_isomorphism,
     identity_solution,
     relabel,
 )
+from pentagon import enumeration
 from pentagon.cli import run
 from pentagon.core import chase_pentagon
 from pentagon.enumeration import _cell_order
 
 import oracles
 
+SIZE_SIX_SHAPES = ((6, 0, 0), (3, 1, 0), (3, 0, 1))
+
+
+def size_six_orbit(shape):
+    """Every relabelling of the canonical size-6 solution of a shape."""
+    base = canonical_solution(*shape)
+    return frozenset(relabel(base, perm) for perm in permutations(range(6)))
+
 
 def size_six_tables():
     """Every size-6 solution: the relabellings of its three classes."""
-    return frozenset(
-        relabel(canonical_solution(*shape), perm)
-        for shape in ((6, 0, 0), (3, 1, 0), (3, 0, 1))
-        for perm in permutations(range(6))
-    )
+    return frozenset().union(*map(size_six_orbit, SIZE_SIX_SHAPES))
 
 
 def test_naive_size_one():
@@ -120,6 +127,34 @@ def test_budget_exceeded_raises_with_workers():
         enumerate_pruned(6, budget_ms=40, workers=2)
 
 
+def test_pool_is_no_larger_than_the_prefix_count(monkeypatch):
+    # an in-process pool that records its size: a huge --workers must not
+    # ask the OS for more processes than there are prefixes to finish
+    import multiprocessing
+
+    seen = {}
+
+    class FakePool:
+        def __init__(self, processes):
+            seen["size"] = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, tasks):
+            tasks = list(tasks)
+            seen["prefixes"] = len(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    tables = enumerate_pruned(4, workers=10**6)
+    assert 1 <= seen["size"] <= seen["prefixes"]
+    assert tables == enumerate_pruned(4, workers=1)
+
+
 def test_budget_covers_prefix_split(monkeypatch):
     # the size-6 split makes fewer deadline calls than one check interval,
     # so the deadline is also checked once between the split and the
@@ -183,6 +218,57 @@ def test_representatives_are_canonical_forms():
         assert report.class_count == expected_count(n)
         for rep in report.representatives:
             assert canonical_form(rep) == rep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_table_is_isomorphic_to_exactly_one_representative(n):
+    # the explicit isomorphism search, independent of the orbit grouping:
+    # each table meets one representative, which carries the table's triple
+    report = count_up_to_iso(n)
+    for t in enumerate_pruned(n):
+        hits = [
+            i for i, rep in enumerate(report.representatives)
+            if find_isomorphism(rep, t) is not None
+        ]
+        assert len(hits) == 1
+        c = classify(t)
+        assert report.class_triples[hits[0]] == (c.x_size, c.a_dim, c.g_dim)
+
+
+def test_size_six_tables_classify_to_their_shape():
+    for shape in SIZE_SIX_SHAPES:
+        for t in size_six_orbit(shape):
+            c = classify(t)
+            assert (c.x_size, c.a_dim, c.g_dim) == shape
+
+
+def test_classify_runs_once_per_class(monkeypatch):
+    calls = []
+
+    def spy(s):
+        calls.append(s)
+        return classify(s)
+
+    monkeypatch.setattr(enumeration, "classify", spy)
+    report = count_up_to_iso(4)
+    assert report.raw_count == 57
+    assert calls == list(report.representatives)
+    assert len(calls) == 6
+
+
+def test_two_classes_with_one_triple_raise(monkeypatch):
+    monkeypatch.setattr(
+        enumeration, "classify", lambda s: ClassificationTriple(1, 0, 0)
+    )
+    with pytest.raises(ValidationError, match="share the triple"):
+        count_up_to_iso(2)
+
+
+def test_canonical_form_matches_oracle(rng):
+    tables = [s for n in range(1, 5) for s in enumerate_pruned(n)]
+    tables += [oracles.random_table(n, rng) for n in range(1, 5) for _ in range(25)]
+    for s in tables:
+        assert canonical_form(s) == oracles.canonical_form_oracle(s)
 
 
 def test_search_nodes_at_size_five(capsys):
