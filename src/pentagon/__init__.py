@@ -11,7 +11,6 @@ from .core import (
     BudgetError,
     MultTable,
     SolutionTable,
-    ThetaFamily,
     ValidationError,
     check_bijective,
     check_cocommutative,

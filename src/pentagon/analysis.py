@@ -25,6 +25,9 @@ from .core import (
 )
 from .constructors import GroupTable, group_from_cayley
 
+# the default carrier bound of the exponential find_isomorphism search
+MAX_ISO_SEARCH_SIZE = 8
+
 
 @dataclass(frozen=True)
 class RetractResult:
@@ -69,8 +72,7 @@ def retract(s: SolutionTable) -> RetractResult:
     """Quotient solution on the classes of elements sharing a theta map."""
     _require_involutive_solution(s, "retract")
     n = s.size
-    mult, thf = derive_tables(s)
-    th = thf.maps
+    mult, th = derive_tables(s)
 
     class_of = [-1] * n
     members: list[list[int]] = []
@@ -109,8 +111,8 @@ def retract(s: SolutionTable) -> RetractResult:
 def is_irretractable(s: SolutionTable) -> bool:
     """Whether all theta maps are pairwise distinct."""
     _require_involutive_solution(s, "is_irretractable")
-    _, thf = derive_tables(s)
-    return len(set(thf.maps)) == s.size
+    _, th = derive_tables(s)
+    return len(set(th)) == s.size
 
 
 def retract_tower(s: SolutionTable) -> list[int]:
@@ -128,10 +130,10 @@ def retract_tower(s: SolutionTable) -> list[int]:
 def abelian_structure(s: SolutionTable) -> GroupTable:
     """The group with x + y = theta_x(y) carried by an irretractable solution."""
     _require_involutive_solution(s, "abelian_structure")
-    _, thf = derive_tables(s)
-    if len(set(thf.maps)) != s.size:
+    _, th = derive_tables(s)
+    if len(set(th)) != s.size:
         raise ValidationError("abelian_structure requires an irretractable solution")
-    g = group_from_cayley(thf.maps)
+    g = group_from_cayley(th)
     # exponent 2 makes g abelian: xy = (xy)^-1 = y^-1 x^-1 = yx
     if g.exponent > 2:
         raise ValidationError("derived group is not of exponent 2")
@@ -195,8 +197,7 @@ def classify(s: SolutionTable) -> ClassificationTriple:
     """
     ret = retract(s)
     n = s.size
-    mult, _ = derive_tables(s)
-    num_idem = len(idempotents(mult))
+    num_idem = sum(s.apply(x, x)[0] == x for x in range(n))
 
     a_size = ret.quotient.size
     a_dim = a_size.bit_length() - 1
@@ -221,11 +222,11 @@ def is_isomorphic_invariant(s: SolutionTable, t: SolutionTable) -> bool:
 
 
 def _element_signatures(s: SolutionTable) -> list[tuple]:
-    mult, thf = derive_tables(s)
+    mult, th = derive_tables(s)
     n = s.size
     sigs = []
     for x in range(n):
-        row = thf.maps[x]
+        row = th[x]
         if sorted(row) == list(range(n)):
             shape = ("perm", cycle_type(row))
         else:
@@ -235,7 +236,7 @@ def _element_signatures(s: SolutionTable) -> list[tuple]:
 
 
 def find_isomorphism(
-    s: SolutionTable, t: SolutionTable, max_size: int = 8
+    s: SolutionTable, t: SolutionTable, max_size: int = MAX_ISO_SEARCH_SIZE
 ) -> Optional[Bijection]:
     """Search for a bijection f with (f x f) s = t (f x f).
 

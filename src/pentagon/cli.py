@@ -47,7 +47,13 @@ from .constructors import (
     irretractable_solution,
     sigma_search,
 )
-from .analysis import classify, find_isomorphism, is_isomorphic_invariant, retract
+from .analysis import (
+    MAX_ISO_SEARCH_SIZE,
+    classify,
+    find_isomorphism,
+    is_isomorphic_invariant,
+    retract,
+)
 from .enumeration import count_up_to_iso, enumerate_pruned
 from .monoid import (
     DEFAULT_WORD_BUDGET,
@@ -89,36 +95,27 @@ def parse_solution(text: str) -> SolutionTable:
     if n < 1:
         raise ParseError("size must be at least 1", 2)
 
-    entries: dict[tuple[int, int], tuple[int, int]] = {}
+    entries: dict[int, tuple[int, int]] = {}  # keyed by i * n + j
     for lineno, raw in enumerate(lines[2:], start=3):
-        parts = raw.split()
-        if len(parts) != 4:
-            raise ParseError("expected four integers '<i> <j> <k> <l>'", lineno)
         try:
-            i, j, k, l = (int(p) for p in parts)
+            i, j, k, l = map(int, raw.split())
         except ValueError:
             raise ParseError("expected four integers '<i> <j> <k> <l>'", lineno)
-        for v in (i, j, k, l):
-            if not 0 <= v < n:
-                raise ParseError(f"index {v} out of range for size {n}", lineno)
-        if (i, j) in entries:
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
+            v = next(v for v in (i, j, k, l) if not 0 <= v < n)
+            raise ParseError(f"index {v} out of range for size {n}", lineno)
+        p = i * n + j
+        if p in entries:
             raise ParseError(f"duplicate row for pair ({i}, {j})", lineno)
-        entries[(i, j)] = (k, l)
+        entries[p] = (k, l)
 
     if len(entries) != n * n:
-        missing = next(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if (i, j) not in entries
-        )
+        missing = divmod(next(p for p in range(n * n) if p not in entries), n)
         raise ParseError(
             f"missing row for pair {missing}; got {len(entries)} of {n * n}",
             len(lines) + 1,
         )
-    return SolutionTable(
-        n, tuple(entries[(i, j)] for i in range(n) for j in range(n))
-    )
+    return SolutionTable(n, tuple(entries[p] for p in range(n * n)))
 
 
 def _parse_int(digits: str, line: int) -> int:
@@ -322,7 +319,7 @@ def _cmd_isomorphic(args, report: _Report) -> int:
     if s.size != t.size:
         report.say("not isomorphic: sizes differ", isomorphic=False)
         return 1
-    if s.size <= 8:  # the default search bound of find_isomorphism
+    if s.size <= MAX_ISO_SEARCH_SIZE:
         f = find_isomorphism(s, t)
         if f is None:
             report.say("not isomorphic", isomorphic=False)

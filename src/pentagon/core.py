@@ -80,25 +80,6 @@ class MultTable:
 
 
 @dataclass(frozen=True)
-class ThetaFamily:
-    """Second projection of a solution table, ``maps[x][y] == theta_x(y)``.
-
-    Individual maps need not be bijective; degenerate tables produce
-    non-bijective ones and that is checked where it matters, not here.
-    """
-
-    size: int
-    maps: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.size
-        if len(self.maps) != n or any(len(m) != n for m in self.maps):
-            raise ValidationError("theta family has wrong shape")
-        if any(not 0 <= v < n for m in self.maps for v in m):
-            raise ValidationError("theta family entry out of range")
-
-
-@dataclass(frozen=True)
 class Bijection:
     """A permutation of 0..n-1 given by its image sequence."""
 
@@ -119,8 +100,15 @@ class Bijection:
         return Bijection(inverse_perm(self.images))
 
 
-def derive_tables(s: SolutionTable) -> tuple[MultTable, ThetaFamily]:
-    """Split s(x, y) = (x*y, theta_x(y)) into its two coordinate tables."""
+def derive_tables(
+    s: SolutionTable,
+) -> tuple[MultTable, tuple[tuple[int, ...], ...]]:
+    """Split s(x, y) = (x*y, theta_x(y)) into its two coordinate tables.
+
+    The second comes back as rows, ``theta[x][y] == theta_x(y)``.  A row
+    need not be bijective; degenerate tables give non-bijective ones and
+    that is checked where it matters, not here.
+    """
     n = s.size
     mul = tuple(
         tuple(s.entries[i * n + j][0] for j in range(n)) for i in range(n)
@@ -128,7 +116,7 @@ def derive_tables(s: SolutionTable) -> tuple[MultTable, ThetaFamily]:
     theta = tuple(
         tuple(s.entries[i * n + j][1] for j in range(n)) for i in range(n)
     )
-    return MultTable(n, mul), ThetaFamily(n, theta)
+    return MultTable(n, mul), theta
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The defining relations identify words of equal length, so the word
 problem splits into one finite closure problem per length.  It is solved
-stratum by stratum, with a union-find over the nodes (class at length
-ell-1, last letter).  That is exact because a rewrite either stays
+stratum by stratum, with a union-find local to each stratum over the
+nodes (class at length ell-1, last letter), whose roots are the least
+members of their sets.  That is exact because a rewrite either stays
 inside the prefix, where the previous stratum already resolved it, or
 touches the boundary, which the node encoding sees directly.  The same
 strata give the counts and the least word of every class.
@@ -15,12 +16,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    BudgetError,
-    SolutionTable,
-    ValidationError,
-    derive_tables,
-)
+from .core import BudgetError, SolutionTable, ValidationError
 from .analysis import classify
 
 Word = tuple[int, ...]
@@ -61,49 +57,14 @@ class DegreeEstimate:
 
 
 def presentation_of(s: SolutionTable) -> MonoidPresentation:
-    """Relations x . y = theta_x(y) . (x y), one per input pair, deduplicated."""
-    mult, thf = derive_tables(s)
+    """Relations x . y = theta_x(y) . (x y), one per input pair, row-major.
+
+    Read straight off the entries: s(x, y) = (k, l) gives (x, y) -> (l, k).
+    """
     n = s.size
-    seen = set()
-    rels = []
-    for x in range(n):
-        for y in range(n):
-            rel = ((x, y), (thf.maps[x][y], mult.rows[x][y]))
-            if rel not in seen:
-                seen.add(rel)
-                rels.append(rel)
-    return MonoidPresentation(n, tuple(rels))
-
-
-def _rewrites(pres: MonoidPresentation) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (a, b), (c, d) in pres.relations:
-        if (a, b) != (c, d):
-            table.setdefault((a, b), []).append((c, d))
-    return table
-
-
-class _UnionFind:
-    """Union-find whose roots are the least members of their sets."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, count: int):
-        self.parent = array("i", range(count))
-
-    def find(self, w: int) -> int:
-        parent = self.parent
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra < rb:
-            self.parent[rb] = ra
-        elif rb < ra:
-            self.parent[ra] = rb
+    return MonoidPresentation(
+        n, tuple((divmod(p, n), (l, k)) for p, (k, l) in enumerate(s.entries))
+    )
 
 
 def _strata(
@@ -125,7 +86,7 @@ def _strata(
             f"length {length} exceeds the cap of {MAX_GROWTH_LENGTH}"
         )
     n = pres.generators
-    rewrites = _rewrites(pres)
+    rels = [(a, b, c, d) for (a, b), (c, d) in pres.relations if (a, b) != (c, d)]
     strata = [array("i", [0])]
     q_prev = array("i")  # node at ell-1  ->  class at ell-1
     c_prev2 = 0
@@ -136,16 +97,24 @@ def _strata(
             raise BudgetError(
                 f"{nodes} stratum nodes exceed the budget of {word_budget}"
             )
-        uf = _UnionFind(nodes)
-        for d_class in range(c_prev2):
-            base = d_class * n
-            for x in range(n):
-                cx = q_prev[base + x]
-                for y in range(n):
-                    for c, d in rewrites.get((x, y), ()):
-                        uf.union(cx * n + y, q_prev[base + c] * n + d)
+        # union-find over the nodes; the larger root is linked under the
+        # smaller, so every root is the least member of its class
+        parent = array("i", range(nodes))
+        for base in range(0, c_prev2 * n, n):
+            for a, b, c, d in rels:
+                u = q_prev[base + a] * n + b
+                v = q_prev[base + c] * n + d
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                if u < v:
+                    parent[v] = u
+                elif v < u:
+                    parent[u] = v
         # a non-root's parent is a smaller node of its class, labelled already
-        parent = uf.parent
         firsts = array("i")
         q_new = array("i", bytes(4 * nodes))
         for w in range(nodes):

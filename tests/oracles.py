@@ -20,6 +20,19 @@ def as_map(s: SolutionTable) -> dict:
     return {(i, j): s.apply(i, j) for i in range(s.size) for j in range(s.size)}
 
 
+def presentation_oracle(s: SolutionTable) -> tuple:
+    """Relations (x, y) -> (theta_x(y), x y), first occurrences, row-major."""
+    rels = []
+    smap = as_map(s)
+    for x in range(s.size):
+        for y in range(s.size):
+            xy, theta_xy = smap[x, y]
+            rel = ((x, y), (theta_xy, xy))
+            if rel not in rels:
+                rels.append(rel)
+    return tuple(rels)
+
+
 def _triples(n):
     return [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
 

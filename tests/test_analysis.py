@@ -24,6 +24,7 @@ from pentagon import (
     retract,
     retract_tower,
 )
+from pentagon import analysis
 from pentagon.analysis import is_associative
 from pentagon.constructors import Decomposition, SigmaMap
 
@@ -123,6 +124,21 @@ def test_abelian_structure_reconstructs_the_solution():
 def test_abelian_structure_rejects_retractable():
     with pytest.raises(ValidationError):
         abelian_structure(identity_solution(2))
+
+
+def test_classify_splits_the_table_once(monkeypatch):
+    # the idempotents come from the diagonal, not from a second split
+    calls = []
+    real = analysis.derive_tables
+
+    def spy(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(analysis, "derive_tables", spy)
+    c = classify(canonical_solution(3, 1, 1))
+    assert (c.x_size, c.a_dim, c.g_dim) == (3, 1, 1)
+    assert len(calls) == 1
 
 
 def test_left_group_decomposition_examples():
@@ -284,7 +300,7 @@ def test_theta_on_left_zero_carrier_is_identity_or_fixed_point_free(rng):
         n = s.size
         identity = tuple(range(n))
         for x in range(n):
-            row = thf.maps[x]
+            row = thf[x]
             assert sorted(row) == list(range(n))
             assert row == identity or all(row[y] != y for y in range(n))
 

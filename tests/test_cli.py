@@ -14,6 +14,7 @@ from pentagon import (
     identity_solution,
     irretractable_solution,
 )
+from pentagon.analysis import MAX_ISO_SEARCH_SIZE
 from pentagon.cli import (
     DEFAULT_WORD_BUDGET,
     HEADER,
@@ -106,6 +107,16 @@ def test_parse_missing_rows():
         parse_solution("pentagon-solution v1\nsize 2\n0 0 0 0\n")
 
 
+def test_parse_huge_declared_size_with_one_row(tmp_path, capsys):
+    # nothing is allocated from the declared size: 10^10 pairs, one row
+    path = tmp_path / "sparse.solution"
+    path.write_text(f"{HEADER}\nsize 100000\n0 0 0 0\n")
+    started = time.monotonic()
+    assert run(["verify", str(path)]) == 2
+    assert time.monotonic() - started < 5
+    assert "missing row for pair (0, 1)" in capsys.readouterr().err
+
+
 def test_parse_sigma_file():
     sig = parse_sigma_text("0 1 2\n2 0 1\n")
     assert sig.x_size == 3
@@ -193,12 +204,19 @@ def test_retract_command(tmp_path, capsys):
     assert run(["retract", f"{GOLDEN}/cycle_1432_c2.solution"]) == 2
 
 
-def test_isomorphic_command():
+def test_isomorphic_command(capsys):
     assert run(["isomorphic", "canonical(2,1,0)", "canonical(2,1,0)"]) == 0
     assert run(["isomorphic", "identity(2)", "irretractable(1)"]) == 1
     assert run(["isomorphic", "identity(2)", "identity(3)"]) == 1
     # above the search bound the invariant comparison still answers
     assert run(["isomorphic", "canonical(3,1,1)", "canonical(3,1,1)"]) == 0
+    capsys.readouterr()
+    # the bound is MAX_ISO_SEARCH_SIZE = 8: size 8 searches, size 9 does not
+    assert MAX_ISO_SEARCH_SIZE == 8
+    assert run(["--json", "isomorphic", "canonical(1,2,1)", "canonical(1,2,1)"]) == 0
+    assert "bijection" in json.loads(capsys.readouterr().out)["results"]
+    assert run(["--json", "isomorphic", "canonical(9,0,0)", "canonical(9,0,0)"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["method"] == "invariant"
     # the search bound is fixed at 8: there is no --max-size option
     assert run(["isomorphic", "identity(2)", "identity(2)", "--max-size", "3"]) == 2
 

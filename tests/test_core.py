@@ -58,19 +58,19 @@ FLIP2 = SolutionTable.from_function(2, lambda i, j: (j, i))
 def test_derive_tables_group_solution():
     mult, theta = derive_tables(group_solution(cyclic_group(2)))
     assert mult.rows == ((0, 1), (1, 0))
-    assert theta.maps == ((0, 1), (0, 1))
+    assert theta == ((0, 1), (0, 1))
 
 
 def test_derive_tables_identity():
     mult, theta = derive_tables(identity_solution(2))
     assert mult.rows == ((0, 0), (1, 1))
-    assert theta.maps == ((0, 1), (0, 1))
+    assert theta == ((0, 1), (0, 1))
 
 
 def test_derive_tables_bitmask_solution():
     mult, theta = derive_tables(irretractable_solution(1))
     assert mult.rows == ((0, 0), (1, 1))
-    assert theta.maps == ((0, 1), (1, 0))
+    assert theta == ((0, 1), (1, 0))
 
 
 def test_pentagon_group_solution():
@@ -370,7 +370,7 @@ def test_theta_family_properties_on_involutive_solutions():
     for s in small_involutive_panel():
         n = s.size
         mult, thf = derive_tables(s)
-        th = thf.maps
+        th = thf
         for x in range(n):
             assert compose_perms(th[x], th[x]) == tuple(range(n))
             for y in range(n):

@@ -41,6 +41,17 @@ def test_presentation_of_identity_solution():
     assert nontrivial == {((0, 1), (1, 0)), ((1, 0), (0, 1))}
 
 
+def test_presentation_matches_oracle_on_panel():
+    for s in small_involutive_panel():
+        assert presentation_of(s).relations == oracles.presentation_oracle(s)
+
+
+@given(size=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_presentation_matches_oracle_on_random_tables(size, rng):
+    s = oracles.random_table(size, rng)
+    assert presentation_of(s).relations == oracles.presentation_oracle(s)
+
+
 def test_presentation_of_singleton():
     pres = presentation_of(identity_solution(1))
     assert all(lhs == rhs for lhs, rhs in pres.relations)
@@ -160,7 +171,7 @@ def test_normal_forms_budget():
 
 
 @given(
-    size=st.integers(1, 3),
+    size=st.integers(1, 4),
     length=st.integers(0, 5),
     involution=st.booleans(),
     rng=st.randoms(use_true_random=False),
