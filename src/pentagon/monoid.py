@@ -4,10 +4,14 @@ The defining relations identify words of equal length, so the word
 problem splits into one finite closure problem per length.  It is solved
 stratum by stratum, with a union-find local to each stratum over the
 nodes (class at length ell-1, last letter), whose roots are the least
-members of their sets.  That is exact because a rewrite either stays
-inside the prefix, where the previous stratum already resolved it, or
-touches the boundary, which the node encoding sees directly.  The same
-strata give the counts and the least word of every class.
+members of their sets and hold a negative parent.  That is exact because
+a rewrite either stays inside the prefix, where the previous stratum
+already resolved it, or touches the boundary, which the node encoding
+sees directly.  Past length 2 only the relations that merged two sets at
+length 2, where the nodes are the letter pairs, are applied: they span
+the relation graph on pairs, so any other relation joins two words that
+their images already join.  The same strata give the counts and the
+least word of every class.
 """
 
 from __future__ import annotations
@@ -90,36 +94,51 @@ def _strata(
     strata = [array("i", [0])]
     q_prev = array("i")  # node at ell-1  ->  class at ell-1
     c_prev2 = 0
-    for _ell in range(1, length + 1):
+    forest = []
+    for ell in range(1, length + 1):
         c_prev = len(strata[-1])
         nodes = c_prev * n
         if nodes > word_budget:
             raise BudgetError(
                 f"{nodes} stratum nodes exceed the budget of {word_budget}"
             )
-        # union-find over the nodes; the larger root is linked under the
-        # smaller, so every root is the least member of its class
-        parent = array("i", range(nodes))
+        # union-find over the nodes, -1 at a root; the larger root is linked
+        # under the smaller, so every root is the least member of its class
+        parent = array("i", [-1]) * nodes
         for base in range(0, c_prev2 * n, n):
+            row = [q * n for q in q_prev[base:base + n]]
             for a, b, c, d in rels:
-                u = q_prev[base + a] * n + b
-                v = q_prev[base + c] * n + d
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
+                u = row[a] + b
+                while (p := parent[u]) >= 0:
+                    if (g := parent[p]) < 0:
+                        u = p
+                        break
+                    parent[u] = g
+                    u = g
+                v = row[c] + d
+                while (p := parent[v]) >= 0:
+                    if (g := parent[p]) < 0:
+                        v = p
+                        break
+                    parent[v] = g
+                    v = g
                 if u < v:
                     parent[v] = u
                 elif v < u:
                     parent[u] = v
+                else:
+                    continue
+                if ell == 2:
+                    forest.append((a, b, c, d))
+        if ell == 2:
+            # a spanning forest of the relation graph on pairs a*n + b
+            rels = forest
         # a non-root's parent is a smaller node of its class, labelled already
         firsts = array("i")
         q_new = array("i", bytes(4 * nodes))
         for w in range(nodes):
             r = parent[w]
-            if r == w:
+            if r < 0:
                 q_new[w] = len(firsts)
                 firsts.append(w)
             else:

@@ -212,18 +212,17 @@ def _find(parent, w):
     return w
 
 
-def dense_stratum(s: SolutionTable, length: int) -> list:
-    """Class root of every word of a length in the structure monoid of s.
+def _dense_closure(n: int, relations, length: int) -> list:
+    """Class root of every word of a length under pair relations.
 
     Closes all n**length words, encoded base n with the first letter most
-    significant, under x . y = theta_x(y) . (x y), that is the pair
-    s(x, y) read right to left.  Entry w of the result is the root of
-    word w; two words are equal in the monoid iff their roots are.
+    significant, under every relation (a, b) -> (c, d) at every position.
+    Entry w of the result is the root of word w; two words are equal in
+    the monoid iff their roots are.
     """
-    n = s.size
     rewrites = {}
-    for (x, y), (xy, theta_xy) in as_map(s).items():
-        rewrites.setdefault((x, y), []).append((theta_xy, xy))
+    for lhs, rhs in relations:
+        rewrites.setdefault(tuple(lhs), []).append(tuple(rhs))
     total = n**length
     parent = list(range(total))
     pows = [n**k for k in range(length)]
@@ -233,16 +232,36 @@ def dense_stratum(s: SolutionTable, length: int) -> list:
             b = rest % n
             rest //= n
             a = rest % n
-            for c, d in rewrites[(a, b)]:
+            for c, d in rewrites.get((a, b), ()):
                 v = w + (c - a) * pows[p + 1] + (d - b) * pows[p]
                 ra, rb = _find(parent, w), _find(parent, v)
                 parent[ra] = rb
     return [_find(parent, w) for w in range(total)]
 
 
+def dense_stratum(s: SolutionTable, length: int) -> list:
+    """Class root of every word of a length in the structure monoid of s.
+
+    The rewrites are x . y = theta_x(y) . (x y), that is the pair s(x, y)
+    read right to left.
+    """
+    relations = [
+        ((x, y), (theta_xy, xy)) for (x, y), (xy, theta_xy) in as_map(s).items()
+    ]
+    return _dense_closure(s.size, relations, length)
+
+
 def growth_oracle(s: SolutionTable, length: int) -> tuple:
     """Word-class counts of each length 0..length, by dense closure."""
     return tuple(len(set(dense_stratum(s, ell))) for ell in range(length + 1))
+
+
+def presentation_growth_oracle(generators: int, relations, length: int) -> tuple:
+    """Word-class counts of each length 0..length of a pair presentation."""
+    return tuple(
+        len(set(_dense_closure(generators, relations, ell)))
+        for ell in range(length + 1)
+    )
 
 
 def normal_forms_oracle(s: SolutionTable, length: int) -> list:

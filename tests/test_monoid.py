@@ -83,6 +83,23 @@ def test_growth_engines_agree():
     assert growth_series(big, 3).counts == oracles.growth_oracle(big, 3)
 
 
+@pytest.mark.parametrize(
+    "triple, counts",
+    [
+        ((2, 2, 2), (1, 32, 258, 264, 335, 402, 469)),
+        ((8, 0, 1), (1, 16, 72, 240, 660, 1584, 3432)),
+        ((3, 1, 1), (1, 12, 36, 50, 75, 105, 140, 180, 225, 275, 330)),
+    ],
+)
+def test_growth_pinned_on_benchmark_inputs(triple, counts):
+    # fixed inputs that catch a broken find or link in the stratum
+    # union-find without hypothesis's help; the dense oracle reaches length 3
+    s = canonical_solution(*triple)
+    assert growth_series(s, len(counts) - 1).counts == counts
+    assert growth_series(s, 3).counts == oracles.growth_oracle(s, 3) == counts[:4]
+    assert normal_forms(s, 3) == oracles.normal_forms_oracle(s, 3)
+
+
 def test_growth_series_budget():
     # canonical(3,1,1) has 12 classes at length 1, so 144 nodes at length 2
     with pytest.raises(BudgetError):
@@ -181,6 +198,29 @@ def test_growth_matches_dense_oracle_on_random_tables(size, length, involution, 
     s = make(size, rng)
     assert growth_series(s, length).counts == oracles.growth_oracle(s, length)
     assert normal_forms(s, length) == oracles.normal_forms_oracle(s, length)
+
+
+@st.composite
+def _presentations(draw):
+    """Pair presentations no table produces: repeats, trivial pairs, cycles."""
+    n = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    rels = draw(st.lists(st.tuples(pair, pair), max_size=13))
+    if rels:
+        rels += draw(st.lists(st.sampled_from(rels), max_size=3))
+    p, q, r = draw(pair), draw(pair), draw(pair)
+    if draw(st.booleans()):
+        rels.append((p, p))
+    if draw(st.booleans()):
+        rels += [(p, q), (q, r), (r, p)]
+    return n, tuple(draw(st.permutations(rels)))
+
+
+@given(pres=_presentations(), length=st.integers(0, 5))
+def test_series_from_presentation_matches_dense_oracle(pres, length):
+    n, rels = pres
+    counts = series_from_presentation(MonoidPresentation(n, rels), length).counts
+    assert counts == oracles.presentation_growth_oracle(n, rels, length)
 
 
 def test_series_monotone_under_relation_subsets(rng):
