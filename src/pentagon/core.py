@@ -174,14 +174,12 @@ def perm_order(p: Sequence[int]) -> int:
 # the map s12 acts first.  A triple (x, y, z) is evaluated by chasing the
 # tables directly, which keeps every predicate total.  The pentagon check
 # of a complete table with at most 256 elements composes whole rows as
-# bytes instead (`pentagon_witness`); the triple chase serves the search's
-# partial tables and larger carriers.
+# bytes instead (`pentagon_witness`); the triple chase serves larger
+# carriers and the oracles' partial tables.
 
 
 def chase_pentagon(
-    cells: Sequence[Optional[tuple[int, int]]],
-    n: int,
-    trail: Optional[list[int]] = None,
+    cells: Sequence[Optional[tuple[int, int]]], n: int
 ) -> Optional[tuple[int, int, int]]:
     """First triple (x, y, z) whose assigned cells break s23 s13 s12 = s12 s23.
 
@@ -189,60 +187,43 @@ def chase_pentagon(
     s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q) and
     s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v); each part
     is compared once the cells it reads are assigned, so a triple found
-    on a partial table fails on every completion of it.
-
-    With a `trail`, the chase also writes forced cells into the involutive
-    partial table `cells`: when c = p and (b,d) is unassigned, every
-    completion has s(b,d) = (q,v) and s(q,v) = (b,d), so both are written
-    and their indices appended to `trail` (a partner cell that holds
-    another value is a failure).  Passes repeat until one writes nothing;
-    the caller undoes the writes from the trail.
+    on a partial table fails on every completion of it.  The chase only
+    reads `cells`.
 
     `pentagon_witness` checks complete tables of up to 256 elements by
-    byte rows; this chase serves partial tables and larger carriers.
+    byte rows and calls this chase above that; the row-major search of
+    the test oracles prunes its partial tables with it.  The library's
+    own search propagates the two comparisons itself
+    (`enumeration._propagate`).
     """
-    while True:
-        wrote = False
-        for x in range(n):
-            xn = x * n
-            for y in range(n):
-                ab = cells[xn + y]
-                if ab is None:
+    for x in range(n):
+        xn = x * n
+        for y in range(n):
+            ab = cells[xn + y]
+            if ab is None:
+                continue
+            a, b = ab
+            an, bn, yn = a * n, b * n, y * n
+            for z in range(n):
+                uv = cells[yn + z]
+                if uv is None:
                     continue
-                a, b = ab
-                an, bn, yn = a * n, b * n, y * n
-                for z in range(n):
-                    uv = cells[yn + z]
-                    if uv is None:
-                        continue
-                    u, v = uv
-                    cd = cells[an + z]
-                    pq = cells[xn + u]
-                    if cd is None or pq is None:
-                        continue
-                    c, d = cd
-                    p, q = pq
-                    if c != p:
-                        return (x, y, z)
-                    ef = cells[bn + d]
-                    if ef is None:
-                        if trail is None:
-                            continue
-                        bd, qv = bn + d, q * n + v
-                        if qv != bd:
-                            if cells[qv] is not None:
-                                return (x, y, z)
-                            cells[qv] = (b, d)
-                            trail.append(qv)
-                        cells[bd] = (q, v)
-                        trail.append(bd)
-                        wrote = True
-                        continue
-                    e, f = ef
-                    if e != q or f != v:
-                        return (x, y, z)
-        if not wrote:
-            return None
+                u, v = uv
+                cd = cells[an + z]
+                pq = cells[xn + u]
+                if cd is None or pq is None:
+                    continue
+                c, d = cd
+                p, q = pq
+                if c != p:
+                    return (x, y, z)
+                ef = cells[bn + d]
+                if ef is None:
+                    continue
+                e, f = ef
+                if e != q or f != v:
+                    return (x, y, z)
+    return None
 
 
 # Rows of a complete table whose entries fit in a byte are composed with

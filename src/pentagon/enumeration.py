@@ -3,11 +3,16 @@
 One backtracking search interleaves the pentagon checks with the
 assignment of entries, in a symmetry-broken cell order that reaches at
 least one table of every isomorphism class; relabelling those tables by
-every permutation of the carrier then gives every table.  The search
-runs on raw tables, so nothing about the classification theory is
-assumed; the theory becomes a checkable output.  The row-major search
-without symmetry breaking and the naive route (every involution of the
-n^2 pair points, filtered) live with the test oracles.
+every permutation of the carrier then gives every table.  After each
+assignment a propagator closes the partial table under the equation:
+the first coordinates form an associative table, so the search keeps a
+layer F of first coordinates known before their cells are, and writes
+the cells the second coordinates force.  Prefixes handed to workers
+carry cells only, and F is rebuilt from them before each is finished.
+The search runs on raw tables, so nothing about the classification
+theory is assumed; the theory becomes a checkable output.  The
+row-major search without symmetry breaking and the naive route (every
+involution of the n^2 pair points, filtered) live with the test oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .core import (
     BudgetError,
     SolutionTable,
     ValidationError,
-    chase_pentagon,
     relabel_cells,
 )
 from .analysis import classify
@@ -55,10 +59,24 @@ class SearchStats:
 # cell's indices; the mentioned elements are always 0..m, the others
 # interchangeable, so only values (k, l) with k <= m+1 and
 # l <= max(m, k)+1 are tried: every solution has a relabelling that the
-# search reaches.  After every assignment the pentagon chase of core runs
-# on the partial table, writes the cells it forces (they mention only
-# elements <= m) and backtracks on a failing triple; the trail undoes
-# both kinds of write.
+# search reaches.
+#
+# Beside the cells the search keeps F, the known first coordinates: F[w]
+# is k once s(w) = (k, l) is assigned, and it can be known before s(w)
+# is.  The first half of the pentagon equation reads M(M(x,y), z) =
+# M(x, M(y,z)) for the first-coordinate table M, so once F knows M(x,y)
+# and M(y,z), it knows one side from the other.  After every assignment
+# `_propagate` closes the partial table under that associativity and
+# under the second half, which writes the cells it forces; every fact it
+# writes mentions only elements <= m.  A cell whose F is known is tried
+# only with that first coordinate.  The trail undoes cell writes and F
+# writes alike.  Prefixes carry only their cells; `_finish` rebuilds F
+# with one propagation, which reaches the same closure, so the node
+# count does not depend on the worker count.
+#
+# The deadline reads the clock once every _CHECK_INTERVAL assignments
+# and once before each prefix is finished: a propagated prefix tries far
+# fewer than that many.
 
 _CHECK_INTERVAL = 1024
 
@@ -92,15 +110,87 @@ def _cell_order(n: int) -> list[int]:
     return sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
 
 
-def _search(n: int, cells: list, order: list[int], pos: int, m: int,
-            trail: list[int], deadline: _Deadline, out: list[tuple],
+def _propagate(n: int, cells: list, F: list[int], trail: list[int]) -> bool:
+    """Close a partial table under the pentagon equation; False if it fails.
+
+    With s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q)
+    and s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v).  Once
+    F knows a and u, a known c or p is written into the other one, and
+    two known ones must agree.  Once the four cells are assigned, an
+    unassigned s(b,d) is written as (q,v) and its partner s(q,v) as
+    (b,d), provided that F allows both; an assigned one must equal (q,v).
+    Passes over every triple repeat until one writes nothing.  Cell w is
+    logged on the trail as w, its F as n*n + w.
+    """
+    nn = n * n
+    while True:
+        wrote = False
+        for x in range(n):
+            xn = x * n
+            for y in range(n):
+                a = F[xn + y]
+                if a < 0:
+                    continue
+                an, yn = a * n, y * n
+                for z in range(n):
+                    u = F[yn + z]
+                    if u < 0:
+                        continue
+                    az, xu = an + z, xn + u
+                    c, p = F[az], F[xu]
+                    if c != p:
+                        if c >= 0 and p >= 0:
+                            return False
+                        if c < 0:
+                            F[az] = p
+                            trail.append(nn + az)
+                        else:
+                            F[xu] = c
+                            trail.append(nn + xu)
+                        wrote = True
+                        continue  # that cell is unassigned
+                    if c < 0:
+                        continue
+                    ab, uv = cells[xn + y], cells[yn + z]
+                    cd, pq = cells[az], cells[xu]
+                    if ab is None or uv is None or cd is None or pq is None:
+                        continue
+                    b, d, q, v = ab[1], cd[1], pq[1], uv[1]
+                    bd, qv = b * n + d, q * n + v
+                    ef = cells[bd]
+                    if ef is not None:
+                        if ef != (q, v):
+                            return False
+                        continue
+                    if 0 <= F[bd] != q:
+                        return False
+                    if qv != bd:
+                        if cells[qv] is not None or 0 <= F[qv] != b:
+                            return False
+                        cells[qv] = (b, d)
+                        trail.append(qv)
+                        if F[qv] < 0:
+                            F[qv] = b
+                            trail.append(nn + qv)
+                    cells[bd] = (q, v)
+                    trail.append(bd)
+                    if F[bd] < 0:
+                        F[bd] = q
+                        trail.append(nn + bd)
+                    wrote = True
+        if not wrote:
+            return True
+
+
+def _search(n: int, cells: list, F: list[int], order: list[int], pos: int,
+            m: int, trail: list[int], deadline: _Deadline, out: list[tuple],
             depth: int = -1) -> None:
     """Append every consistent extension of `cells` to `out`.
 
-    Cells before `pos` in `order` are assigned and m is the largest
-    element they mention.  An extension stops at a complete table or
-    after `depth` more decisions, whichever comes first; a negative depth
-    never stops early.
+    Cells before `pos` in `order` are assigned, m is the largest element
+    they mention, and `cells` and `F` are closed under `_propagate`.  An
+    extension stops at a complete table or after `depth` more decisions,
+    whichever comes first; a negative depth never stops early.
     """
     end = len(order)
     while pos < end and cells[order[pos]] is not None:
@@ -111,10 +201,12 @@ def _search(n: int, cells: list, order: list[int], pos: int, m: int,
     p = order[pos]
     i, j = divmod(p, n)
     m = max(m, i, j)
-    for k in range(min(m + 2, n)):
+    nn = n * n
+    first = F[p]
+    for k in range(min(m + 2, n)) if first < 0 else (first,):
         for l in range(min(max(m, k) + 2, n)):
             q = k * n + l
-            if q != p and cells[q] is not None:
+            if q != p and cells[q] is not None or 0 <= F[q] != i:
                 continue
             if deadline.expired():
                 raise BudgetError("enumeration budget exceeded")
@@ -124,17 +216,33 @@ def _search(n: int, cells: list, order: list[int], pos: int, m: int,
             trail.append(p)
             if q != p:
                 trail.append(q)
-            if chase_pentagon(cells, n, trail) is None:
-                _search(n, cells, order, pos + 1, max(m, k, l), trail,
+            if first < 0:
+                F[p] = k
+                trail.append(nn + p)
+            if F[q] < 0:
+                F[q] = i
+                trail.append(nn + q)
+            if _propagate(n, cells, F, trail):
+                _search(n, cells, F, order, pos + 1, max(m, k, l), trail,
                         deadline, out, depth - 1)
             while len(trail) > mark:
-                cells[trail.pop()] = None
+                w = trail.pop()
+                if w < nn:
+                    cells[w] = None
+                else:
+                    F[w - nn] = -1
 
 
 def _finish(n: int, prefix: tuple, deadline: _Deadline, out: list[tuple]):
     """Every complete table extending a prefix that `_search` emitted."""
+    if deadline.passed():
+        raise BudgetError("enumeration budget exceeded")
+    cells = list(prefix)
+    F = [-1 if c is None else c[0] for c in cells]
     m = max((max(c) for c in prefix if c is not None), default=-1)
-    _search(n, list(prefix), _cell_order(n), 0, m, [], deadline, out)
+    trail: list[int] = []
+    if _propagate(n, cells, F, trail):
+        _search(n, cells, F, _cell_order(n), 0, m, trail, deadline, out)
 
 
 def _run_prefix(args) -> tuple[list[tuple], int]:
@@ -165,7 +273,7 @@ def enumerate_pruned(
     workers: int = 1,
     stats: SearchStats | None = None,
 ) -> list[SolutionTable]:
-    """Every involutive solution of size n, sorted; sizes 1..6.
+    """Every involutive solution of size n, sorted; sizes 1..7.
 
     The symmetry-broken search finds at least one table of every
     isomorphism class; their orbits under Sym(n) give every table.  The
@@ -175,12 +283,12 @@ def enumerate_pruned(
     splitting included.  The output, and the node count left in `stats`,
     are independent of the worker count.
     """
-    if not 1 <= n <= 6:
-        raise ValidationError("pruned enumeration is limited to sizes 1..6")
+    if not 1 <= n <= 7:
+        raise ValidationError("pruned enumeration is limited to sizes 1..7")
     deadline = _Deadline.after_ms(budget_ms)
     prefixes: list[tuple] = []
-    _search(n, [None] * (n * n), _cell_order(n), 0, -1, [], deadline,
-            prefixes, depth=2)
+    _search(n, [None] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1, [],
+            deadline, prefixes, depth=2)
     # the split tries too few assignments for the sampled check to fire
     if deadline.passed():
         raise BudgetError("enumeration budget exceeded")

@@ -156,9 +156,9 @@ def witness_with_chase_spy(s, byte_range):
     sizes the chase was called on."""
     sizes = []
 
-    def chase(cells, n, trail=None):
+    def chase(cells, n):
         sizes.append(n)
-        return chase_pentagon(cells, n, trail)
+        return chase_pentagon(cells, n)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BYTE_RANGE", byte_range)

@@ -1,5 +1,7 @@
 import json
+import time
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +24,7 @@ from pentagon import (
 from pentagon import enumeration
 from pentagon.cli import run
 from pentagon.core import chase_pentagon
-from pentagon.enumeration import _cell_order
+from pentagon.enumeration import SearchStats, _cell_order, _propagate
 
 import oracles
 
@@ -62,7 +64,7 @@ def test_pruned_rejects_out_of_range():
     with pytest.raises(ValidationError):
         enumerate_pruned(0)
     with pytest.raises(ValidationError):
-        enumerate_pruned(7)
+        enumerate_pruned(8)
 
 
 def test_pruned_size_four():
@@ -127,6 +129,27 @@ def test_budget_exceeded_raises_with_workers():
         enumerate_pruned(6, budget_ms=40, workers=2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_is_checked_before_each_prefix(monkeypatch, workers):
+    # a deadline that passes after the split: the clock reads an hour early
+    # for setting the deadline and for the check after the split, and the
+    # true time afterwards, in every process.  With the sampled check out
+    # of reach (a size-5 prefix tries fewer assignments than one interval
+    # anyway), only the check before each prefix can notice it
+    real = time.monotonic
+    reads = 0
+
+    def monotonic():
+        nonlocal reads
+        reads += 1
+        return real() - 3600 if reads <= 2 else real()
+
+    monkeypatch.setattr(enumeration, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(enumeration, "_CHECK_INTERVAL", 10**9)
+    with pytest.raises(BudgetError):
+        enumerate_pruned(5, budget_ms=1000, workers=workers)
+
+
 def test_pool_is_no_larger_than_the_prefix_count(monkeypatch):
     # an in-process pool that records its size: a huge --workers must not
     # ask the OS for more processes than there are prefixes to finish
@@ -171,32 +194,58 @@ def test_budget_covers_prefix_split(monkeypatch):
 
 def test_prefix_pruning_is_sound():
     # every row-major prefix of a real solution passes the pentagon chase,
-    # and so does every prefix in the search's (max(i, j), i, j) order with
-    # forced cells written; every forced cell is the solution's own entry,
-    # so the search never prunes or forces its way past a solution
+    # and every prefix in the search's (max(i, j), i, j) order passes the
+    # search's propagation, which never rules out the solution's own value
+    # of the next cell; every first coordinate and every cell it writes is
+    # the solution's own entry, so the search never prunes or forces its
+    # way past a solution
     size_six = size_six_tables()
     assert len(size_six) == 241
     tables = [s for n in range(1, 6) for s in enumerate_pruned(n)]
     for s in tables + sorted(size_six, key=lambda t: t.entries):
         n = s.size
-        cells = [None] * (n * n)
+        nn = n * n
+        cells = [None] * nn
         for p, (k, l) in enumerate(s.entries):
             if cells[p] is not None:
                 continue  # written as the partner of an earlier cell
             cells[p] = (k, l)
             cells[k * n + l] = divmod(p, n)
             assert chase_pentagon(cells, n) is None
-        cells = [None] * (n * n)
+        cells = [None] * nn
+        F = [-1] * nn
         trail = []
         for p in _cell_order(n):
             if cells[p] is not None:
                 continue  # a partner or a forced cell
             k, l = s.entries[p]
+            q = k * n + l
+            assert F[p] in (-1, k) and F[q] in (-1, p // n)
             cells[p] = (k, l)
-            cells[k * n + l] = divmod(p, n)
-            assert chase_pentagon(cells, n, trail) is None
-            assert all(cells[q] == s.entries[q] for q in trail)
+            cells[q] = divmod(p, n)
+            F[p], F[q] = k, p // n
+            assert _propagate(n, cells, F, trail)
+            assert all(cells[w] == s.entries[w] for w in trail if w < nn)
+            assert all(F[w - nn] == s.entries[w - nn][0] for w in trail if w >= nn)
         assert tuple(cells) == s.entries
+
+
+@pytest.mark.parametrize("cells, w, first", [
+    # the triple (0, 0, 1) forces s(1, 0) = (1, 0)
+    ([(0, 1), (0, 0)] + [None] * 7, 3, 2),
+    # the triple (0, 1, 1) forces s(2, 2) = (2, 1), and so s(2, 1) = (2, 2)
+    ([None, (0, 2), (0, 1), None, (1, 1)] + [None] * 4, 7, 0),
+], ids=["cell", "partner"])
+def test_a_forced_cell_must_agree_with_its_known_first_coordinate(
+        cells, w, first):
+    # the search reaches such states only where another triple fails too,
+    # so the node counts do not pin this check
+    F = [-1 if c is None else c[0] for c in cells]
+    forced, known = list(cells), list(F)
+    assert _propagate(3, forced, known, [])
+    assert known[w] == forced[w][0] != first
+    F[w] = first
+    assert not _propagate(3, list(cells), F, [])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -272,13 +321,31 @@ def test_canonical_form_matches_oracle(rng):
 
 
 def test_search_nodes_at_size_five(capsys):
-    # assignments tried by the symmetry-broken search with forced cells;
-    # the row-major search without either tried 354,259
-    assert count_up_to_iso(5).nodes == 27389
+    # assignments tried by the symmetry-broken search with propagated
+    # first coordinates and forced cells; with forced cells alone it tried
+    # 27,389, and the row-major search without either 354,259
+    assert count_up_to_iso(5).nodes == 2420
     assert run(["--json", "enumerate", "--size", "5", "--up-to-iso",
                 "--workers", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results["search_nodes"] == 27389
+    assert results["search_nodes"] == 2420
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_nodes_at_size_six(workers):
+    # 957,188 with forced cells alone
+    stats = SearchStats()
+    enumerate_pruned(6, workers=workers, stats=stats)
+    assert stats.nodes == 9726
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_size_seven_is_one_class(workers):
+    # an odd size has one class, (n, 0, 0)
+    report = count_up_to_iso(7, workers=workers)
+    assert (report.raw_count, report.class_count) == (1, 1)
+    assert report.class_triples == ((7, 0, 0),)
+    assert report.nodes == 28606
 
 
 def test_expected_count_examples():
