@@ -43,7 +43,6 @@ from .constructors import (
     idempotent_pair_solution,
     irretractable_solution,
     sigma_search,
-    symmetric_group,
     trivial_group,
     trivial_sigma,
     xor_group,
@@ -53,7 +52,6 @@ from .analysis import (
     LeftGroupDecomposition,
     RetractResult,
     abelian_structure,
-    check_simple,
     classify,
     find_isomorphism,
     idempotents,

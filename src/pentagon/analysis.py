@@ -3,7 +3,8 @@
 Operations whose statements only make sense for involutive solutions
 verify that hypothesis up front and raise on anything else; the quotient
 constructions additionally re-check their own well-definedness, which is
-cheap at these sizes and catches table bugs immediately.
+cheap at these sizes and catches table bugs immediately.  Only the
+left-group helpers take a `MultTable`; the rest read `derive_tables` rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import (
 )
 from .constructors import GroupTable, group_from_cayley
 
-# the default carrier bound of the exponential find_isomorphism search
+# the carrier bound of the exponential find_isomorphism search
 MAX_ISO_SEARCH_SIZE = 8
 
 
@@ -72,7 +73,7 @@ def retract(s: SolutionTable) -> RetractResult:
     """Quotient solution on the classes of elements sharing a theta map."""
     _require_involutive_solution(s, "retract")
     n = s.size
-    mult, th = derive_tables(s)
+    mul, th = derive_tables(s)
 
     class_of = [-1] * n
     members: list[list[int]] = []
@@ -90,7 +91,7 @@ def retract(s: SolutionTable) -> RetractResult:
     # the quotient multiplication collapses to the left factor: xy ~ x
     for x in range(n):
         for y in range(n):
-            if class_of[mult.rows[x][y]] != class_of[x]:
+            if class_of[mul[x][y]] != class_of[x]:
                 raise ValidationError("quotient multiplication is not left zero")
 
     entries = [None] * (k * k)
@@ -168,27 +169,6 @@ def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
     return LeftGroupDecomposition(idem, group)
 
 
-def check_simple(m: MultTable) -> bool:
-    """Whether every two-sided ideal of the semigroup is everything."""
-    if not is_associative(m):
-        raise ValidationError("multiplication is not associative")
-    n = m.size
-    rows = m.rows
-    for y in range(n):
-        ideal = {y}
-        frontier = [y]
-        while frontier:
-            j = frontier.pop()
-            for a in range(n):
-                for v in (rows[a][j], rows[j][a]):
-                    if v not in ideal:
-                        ideal.add(v)
-                        frontier.append(v)
-        if len(ideal) != n:
-            return False
-    return True
-
-
 def classify(s: SolutionTable) -> ClassificationTriple:
     """Invariant (|X|, log2 |A|, log2 |G|) of an involutive solution.
 
@@ -222,7 +202,7 @@ def is_isomorphic_invariant(s: SolutionTable, t: SolutionTable) -> bool:
 
 
 def _element_signatures(s: SolutionTable) -> list[tuple]:
-    mult, th = derive_tables(s)
+    mul, th = derive_tables(s)
     n = s.size
     sigs = []
     for x in range(n):
@@ -231,13 +211,11 @@ def _element_signatures(s: SolutionTable) -> list[tuple]:
             shape = ("perm", cycle_type(row))
         else:
             shape = ("map", tuple(sorted(row.count(v) for v in set(row))))
-        sigs.append((mult.rows[x][x] == x, shape))
+        sigs.append((mul[x][x] == x, shape))
     return sigs
 
 
-def find_isomorphism(
-    s: SolutionTable, t: SolutionTable, max_size: int = MAX_ISO_SEARCH_SIZE
-) -> Optional[Bijection]:
+def find_isomorphism(s: SolutionTable, t: SolutionTable) -> Optional[Bijection]:
     """Search for a bijection f with (f x f) s = t (f x f).
 
     Backtracking over partial assignments; each placed image forces the
@@ -247,8 +225,10 @@ def find_isomorphism(
     if s.size != t.size:
         raise ValidationError("size mismatch")
     n = s.size
-    if n > max_size:
-        raise ValidationError(f"carrier size {n} exceeds the bound {max_size}")
+    if n > MAX_ISO_SEARCH_SIZE:
+        raise ValidationError(
+            f"carrier size {n} exceeds the bound {MAX_ISO_SEARCH_SIZE}"
+        )
 
     sig_s = _element_signatures(s)
     sig_t = _element_signatures(t)

@@ -101,8 +101,9 @@ def parse_solution(text: str) -> SolutionTable:
             i, j, k, l = map(int, raw.split())
         except ValueError:
             raise ParseError("expected four integers '<i> <j> <k> <l>'", lineno)
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
-            v = next(v for v in (i, j, k, l) if not 0 <= v < n)
+        # k and l are range-checked once, by SolutionTable, naming s(i, j)
+        if not (0 <= i < n and 0 <= j < n):
+            v = j if 0 <= i < n else i
             raise ParseError(f"index {v} out of range for size {n}", lineno)
         p = i * n + j
         if p in entries:

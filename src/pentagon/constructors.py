@@ -17,7 +17,6 @@ from .core import (
     SolutionTable,
     ValidationError,
     associativity_witness,
-    compose_perms,
     identity_perm,
     inverse_perm,
     perm_order,
@@ -37,9 +36,6 @@ class GroupTable:
     cayley: tuple[tuple[int, ...], ...]
     identity: int
     exponent: int
-
-    def mul(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
 
 
 def group_from_cayley(rows: Sequence[Sequence[int]]) -> GroupTable:
@@ -103,17 +99,6 @@ def direct_product_group(g: GroupTable, h: GroupTable) -> GroupTable:
                     rows[a1 * nh + a2][b1 * nh + b2] = (
                         g.cayley[a1][b1] * nh + h.cayley[a2][b2]
                     )
-    return group_from_cayley(rows)
-
-
-def symmetric_group(n: int) -> GroupTable:
-    """Sym(n) on the lexicographically ordered list of permutations."""
-    elems = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    rows = [
-        [index[compose_perms(p, q)] for q in elems]
-        for p in elems
-    ]
     return group_from_cayley(rows)
 
 

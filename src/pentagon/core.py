@@ -25,6 +25,8 @@ class BudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 # tables
 
+Rows = tuple[tuple[int, ...], ...]  # a square table, rows[i][j]
+
 
 @dataclass(frozen=True)
 class SolutionTable:
@@ -63,10 +65,12 @@ class SolutionTable:
 
 @dataclass(frozen=True)
 class MultTable:
-    """First projection of a solution table, ``rows[i][j] == i * j``."""
+    """A caller's semigroup table, ``rows[i][j] == i * j``, checked once.
+
+    The library's own first coordinates are plain `derive_tables` rows."""
 
     size: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: Rows
 
     def __post_init__(self):
         n = self.size
@@ -74,9 +78,6 @@ class MultTable:
             raise ValidationError("multiplication table has wrong shape")
         if any(not 0 <= v < n for r in self.rows for v in r):
             raise ValidationError("multiplication table entry out of range")
-
-    def mul(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
 
 @dataclass(frozen=True)
@@ -100,23 +101,18 @@ class Bijection:
         return Bijection(inverse_perm(self.images))
 
 
-def derive_tables(
-    s: SolutionTable,
-) -> tuple[MultTable, tuple[tuple[int, ...], ...]]:
+def derive_tables(s: SolutionTable) -> tuple[Rows, Rows]:
     """Split s(x, y) = (x*y, theta_x(y)) into its two coordinate tables.
 
-    The second comes back as rows, ``theta[x][y] == theta_x(y)``.  A row
-    need not be bijective; degenerate tables give non-bijective ones and
-    that is checked where it matters, not here.
+    Both come back as rows, ``mul[x][y] == x*y`` and ``theta[x][y] ==
+    theta_x(y)``, unchecked, since `SolutionTable` checked every entry.  A
+    theta row need not be bijective; that is checked where it matters.
     """
     n = s.size
-    mul = tuple(
-        tuple(s.entries[i * n + j][0] for j in range(n)) for i in range(n)
-    )
-    theta = tuple(
-        tuple(s.entries[i * n + j][1] for j in range(n)) for i in range(n)
-    )
-    return MultTable(n, mul), theta
+    firsts, seconds = zip(*s.entries)
+    mul = tuple(firsts[i:i + n] for i in range(0, n * n, n))
+    theta = tuple(seconds[i:i + n] for i in range(0, n * n, n))
+    return mul, theta
 
 
 # ---------------------------------------------------------------------------

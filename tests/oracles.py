@@ -8,12 +8,24 @@ with the package's read-only pentagon chase (itself checked against
 `pentagon_failures` in the core tests), and `canonical_form_oracle`, which
 takes the least of the package's validated `relabel` one permutation at a
 time instead of building the orbit as a set.
+
+`symmetric_group` and `check_simple` are library-style helpers that only
+the tests call: a non-abelian group for the constructor panels, and the
+simplicity of the left groups that solutions carry.
 """
 
 from itertools import permutations
 
-from pentagon import SolutionTable, relabel
-from pentagon.core import chase_pentagon
+from pentagon import (
+    GroupTable,
+    MultTable,
+    SolutionTable,
+    ValidationError,
+    group_from_cayley,
+    relabel,
+)
+from pentagon.analysis import is_associative
+from pentagon.core import chase_pentagon, compose_perms
 
 
 def as_map(s: SolutionTable) -> dict:
@@ -352,3 +364,35 @@ def random_involution_table(n, rng) -> SolutionTable:
         flat[p] = q
         flat[q] = p
     return SolutionTable(n, tuple(divmod(v, n) for v in flat))
+
+
+def symmetric_group(n: int) -> GroupTable:
+    """Sym(n) on the lexicographically ordered list of permutations."""
+    elems = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(elems)}
+    rows = [
+        [index[compose_perms(p, q)] for q in elems]
+        for p in elems
+    ]
+    return group_from_cayley(rows)
+
+
+def check_simple(m: MultTable) -> bool:
+    """Whether every two-sided ideal of the semigroup is everything."""
+    if not is_associative(m):
+        raise ValidationError("multiplication is not associative")
+    n = m.size
+    rows = m.rows
+    for y in range(n):
+        ideal = {y}
+        frontier = [y]
+        while frontier:
+            j = frontier.pop()
+            for a in range(n):
+                for v in (rows[a][j], rows[j][a]):
+                    if v not in ideal:
+                        ideal.add(v)
+                        frontier.append(v)
+        if len(ideal) != n:
+            return False
+    return True

@@ -222,7 +222,7 @@ def test_criterion_6_retraction_suite(rng):
             )
             quotient = retract(s).quotient
             target = irretractable_solution(a_dim)
-            f = find_isomorphism(quotient, target, max_size=16)
+            f = find_isomorphism(quotient, target)
             assert f is not None
 
 

@@ -7,7 +7,6 @@ from pentagon import (
     abelian_structure,
     canonical_solution,
     check_bijective,
-    check_simple,
     classify,
     cyclic_group,
     derive_tables,
@@ -21,6 +20,7 @@ from pentagon import (
     is_isomorphic_invariant,
     is_morphism,
     left_group_decomposition,
+    relabel,
     retract,
     retract_tower,
 )
@@ -141,9 +141,29 @@ def test_classify_splits_the_table_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_analysis_builds_no_mult_table(monkeypatch):
+    # derive_tables hands out plain rows: SolutionTable has checked them
+    checked = []
+    real = MultTable.__post_init__
+
+    def spy(self):
+        checked.append(self.size)
+        real(self)
+
+    monkeypatch.setattr(MultTable, "__post_init__", spy)
+    s = canonical_solution(3, 1, 1)
+    classify(s)
+    retract(s)
+    t = canonical_solution(2, 1, 1)
+    assert find_isomorphism(t, relabel(t, (7, 6, 5, 4, 3, 2, 1, 0))) is not None
+    assert checked == []
+    MultTable(1, ((0,),))  # a caller's table is still checked
+    assert checked == [1]
+
+
 def test_left_group_decomposition_examples():
     mult, _ = derive_tables(canonical_solution(3, 1, 1))
-    dec = left_group_decomposition(mult)
+    dec = left_group_decomposition(MultTable(12, mult))
     assert dec is not None
     assert len(dec.idempotents) == 6
     assert dec.group_part.size == 2
@@ -163,7 +183,7 @@ def test_left_group_decomposition_examples():
 def test_left_group_decomposition_counts_multiply():
     for s in small_involutive_panel():
         mult, _ = derive_tables(s)
-        dec = left_group_decomposition(mult)
+        dec = left_group_decomposition(MultTable(s.size, mult))
         assert dec is not None
         assert len(dec.idempotents) * dec.group_part.size == s.size
 
@@ -175,12 +195,12 @@ def test_left_group_decomposition_negative():
 
 
 def test_check_simple():
-    assert check_simple(LEFT_ZERO_4)
+    assert oracles.check_simple(LEFT_ZERO_4)
     c2 = MultTable(2, ((0, 1), (1, 0)))
-    assert check_simple(c2)
-    assert not check_simple(NULL_2)
+    assert oracles.check_simple(c2)
+    assert not oracles.check_simple(NULL_2)
     with pytest.raises(ValidationError):
-        check_simple(NOT_ASSOC)
+        oracles.check_simple(NOT_ASSOC)
 
 
 def test_simple_for_bijective_finite_order_solutions():
@@ -189,12 +209,12 @@ def test_simple_for_bijective_finite_order_solutions():
 
     for s in bijective_finite_order_panel():
         mult, _ = derive_tables(s)
-        assert check_simple(mult)
+        assert oracles.check_simple(MultTable(s.size, mult))
     for n in (1, 2, 3, 4):
         for s in enumerate_pruned(n):
             assert order_of(s, 24) is not None
             mult, _ = derive_tables(s)
-            assert check_simple(mult)
+            assert oracles.check_simple(MultTable(s.size, mult))
 
 
 def test_classify_examples():
@@ -253,13 +273,14 @@ def test_find_isomorphism_self_is_identity():
     assert is_morphism(f, s, s)
 
 
-def test_find_isomorphism_errors():
+def test_find_isomorphism_errors(monkeypatch):
     with pytest.raises(ValidationError, match="size"):
         find_isomorphism(identity_solution(2), identity_solution(3))
     with pytest.raises(ValidationError, match="bound"):
         find_isomorphism(identity_solution(9), identity_solution(9))
     big = canonical_solution(3, 1, 1)
-    f = find_isomorphism(big, big, max_size=12)
+    monkeypatch.setattr(analysis, "MAX_ISO_SEARCH_SIZE", 12)
+    f = find_isomorphism(big, big)
     assert f is not None
 
 
@@ -279,11 +300,11 @@ def test_find_isomorphism_matches_brute_force(rng):
 def test_idempotents_are_squares_and_right_identities():
     for s in small_involutive_panel():
         mult, _ = derive_tables(s)
-        idem = set(idempotents(mult))
-        squares = {mult.rows[x][x] for x in range(s.size)}
+        idem = set(idempotents(MultTable(s.size, mult)))
+        squares = {mult[x][x] for x in range(s.size)}
         assert idem == squares
         for e in idem:
-            assert all(mult.rows[x][e] == x for x in range(s.size))
+            assert all(mult[x][e] == x for x in range(s.size))
 
 
 def test_theta_on_left_zero_carrier_is_identity_or_fixed_point_free(rng):

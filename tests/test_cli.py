@@ -96,6 +96,16 @@ def test_parse_out_of_range():
         parse_solution("pentagon-solution v1\nsize 1\n0 0 0 0\n0 1 0 0\n")
 
 
+@pytest.mark.parametrize("k, l", [(2, 0), (0, 7), (-1, 1)])
+def test_out_of_range_value_exits_2_naming_its_pair(tmp_path, capsys, k, l):
+    # the parser range-checks only i and j, which key its rows; k and l are
+    # checked once, by SolutionTable, whose error names the pair
+    path = tmp_path / "bad.solution"
+    path.write_text(f"{HEADER}\nsize 2\n0 0 0 0\n0 1 {k} {l}\n1 0 1 0\n1 1 1 1\n")
+    assert run(["verify", str(path)]) == 2
+    assert f"s(0,1)=({k},{l}) is out of range for size 2" in capsys.readouterr().err
+
+
 def test_parse_duplicate_row():
     text = "pentagon-solution v1\nsize 2\n0 0 0 0\n0 0 0 0\n"
     with pytest.raises(ParseError, match="duplicate"):

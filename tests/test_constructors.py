@@ -1,6 +1,7 @@
 import pytest
 
 from pentagon import (
+    MultTable,
     SolutionTable,
     ValidationError,
     canonical_solution,
@@ -23,7 +24,6 @@ from pentagon import (
     order_of,
     product_solution,
     sigma_search,
-    symmetric_group,
     trivial_group,
     xor_group,
 )
@@ -62,7 +62,7 @@ def test_group_exponents():
     assert cyclic_group(6).exponent == 6
     assert xor_group(0).exponent == 1
     assert xor_group(3).exponent == 2
-    assert symmetric_group(3).exponent == 6
+    assert oracles.symmetric_group(3).exponent == 6
     assert direct_product_group(cyclic_group(2), cyclic_group(4)).exponent == 4
 
 
@@ -106,7 +106,7 @@ def test_order_of_group_solution_equals_exponent():
     groups += [xor_group(2), xor_group(3)]
     groups += [
         direct_product_group(cyclic_group(2), cyclic_group(4)),
-        symmetric_group(3),
+        oracles.symmetric_group(3),
         _dihedral_4(),
         _quaternion_8(),
     ]
@@ -277,7 +277,7 @@ def test_construct_then_verify_all_shapes_up_to_16(rng):
 
 
 def _c2_mult():
-    return derive_tables(group_solution(cyclic_group(2)))[0]
+    return MultTable(2, derive_tables(group_solution(cyclic_group(2)))[0])
 
 
 def test_endo_solution_constant_at_identity():
@@ -293,15 +293,11 @@ def test_endo_solution_identity_map_is_group_solution():
 
 
 def test_endo_solution_left_zero_carrier():
-    from pentagon import MultTable
-
     left_zero = MultTable(2, ((0, 0), (1, 1)))
     assert endo_solution(left_zero, (0, 1)) == identity_solution(2)
 
 
 def test_endo_solution_rejects_bad_input():
-    from pentagon import MultTable
-
     with pytest.raises(ValidationError, match="associative"):
         endo_solution(MultTable(3, ((0, 1, 2), (1, 2, 0), (2, 1, 0))), (0, 1, 2))
     with pytest.raises(ValidationError, match="idempotent"):

@@ -29,7 +29,6 @@ from pentagon import (
     pentagon_witness,
     product_solution,
     relabel,
-    symmetric_group,
     trivial_group,
     xor_group,
 )
@@ -57,20 +56,36 @@ FLIP2 = SolutionTable.from_function(2, lambda i, j: (j, i))
 
 def test_derive_tables_group_solution():
     mult, theta = derive_tables(group_solution(cyclic_group(2)))
-    assert mult.rows == ((0, 1), (1, 0))
+    assert mult == ((0, 1), (1, 0))
     assert theta == ((0, 1), (0, 1))
 
 
 def test_derive_tables_identity():
     mult, theta = derive_tables(identity_solution(2))
-    assert mult.rows == ((0, 0), (1, 1))
+    assert mult == ((0, 0), (1, 1))
     assert theta == ((0, 1), (0, 1))
 
 
 def test_derive_tables_bitmask_solution():
     mult, theta = derive_tables(irretractable_solution(1))
-    assert mult.rows == ((0, 0), (1, 1))
+    assert mult == ((0, 0), (1, 1))
     assert theta == ((0, 1), (1, 0))
+
+
+def test_derive_tables_are_the_coordinate_rows():
+    from pentagon import enumerate_pruned
+
+    tables = [s for n in range(1, 5) for s in enumerate_pruned(n)]
+    for s in tables + non_solution_panel() + [canonical_solution(4, 2, 2)]:
+        n = s.size
+        mult, theta = derive_tables(s)
+        assert mult == tuple(
+            tuple(s.apply(x, y)[0] for y in range(n)) for x in range(n)
+        )
+        assert theta == tuple(
+            tuple(s.apply(x, y)[1] for y in range(n)) for x in range(n)
+        )
+        assert all(type(rows) is tuple for rows in (mult, theta, *mult, *theta))
 
 
 def test_pentagon_group_solution():
@@ -91,7 +106,7 @@ def test_pentagon_identity():
 
 def test_pentagon_routes_agree():
     panel = small_involutive_panel() + non_solution_panel() + [FLIP2]
-    panel.append(group_solution(symmetric_group(3)))
+    panel.append(group_solution(oracles.symmetric_group(3)))
     for s in panel:
         expected = oracles.pentagon_oracle(s)
         assert check_pentagon(s) == expected
@@ -206,7 +221,7 @@ def test_flip_tau_s_tau_swaps_pe_and_rpe():
     panel = (
         bijective_finite_order_panel()
         + non_solution_panel()
-        + [FLIP2, endo_solution(derive_tables(group_solution(cyclic_group(2)))[0], (0, 0))]
+        + [FLIP2, endo_solution(MultTable(2, derive_tables(group_solution(cyclic_group(2)))[0]), (0, 0))]
     )
     for s in panel:
         assert check_pentagon(s) == check_reversed_pentagon(flip_conjugate(s))
@@ -243,7 +258,7 @@ def test_commutative_examples():
     for s in small_involutive_panel():
         assert check_commutative(s)
     assert check_commutative(identity_solution(2))
-    s3 = group_solution(symmetric_group(3))
+    s3 = group_solution(oracles.symmetric_group(3))
     assert not oracles.commutative_oracle(s3)
     assert not check_commutative(s3)
 
@@ -252,7 +267,7 @@ def test_cocommutative_examples():
     assert check_cocommutative(irretractable_solution(1))
     assert check_cocommutative(identity_solution(2))
     mult, _ = derive_tables(group_solution(cyclic_group(2)))
-    squash = endo_solution(mult, (0, 0))
+    squash = endo_solution(MultTable(2, mult), (0, 0))
     assert not oracles.cocommutative_oracle(squash)
     assert not check_cocommutative(squash)
 
@@ -274,7 +289,7 @@ def test_commutative_cocommutative_match_oracle():
 def test_bijective_examples():
     assert check_bijective(irretractable_solution(1))
     mult, _ = derive_tables(group_solution(cyclic_group(2)))
-    assert not check_bijective(endo_solution(mult, (0, 0)))
+    assert not check_bijective(endo_solution(MultTable(2, mult), (0, 0)))
     assert check_bijective(identity_solution(3))
 
 
@@ -374,12 +389,12 @@ def test_theta_family_properties_on_involutive_solutions():
         for x in range(n):
             assert compose_perms(th[x], th[x]) == tuple(range(n))
             for y in range(n):
-                assert th[mult.rows[x][y]] == th[x]
+                assert th[mult[x][y]] == th[x]
                 assert th[th[x][y]] == compose_perms(th[x], th[y])
                 assert compose_perms(th[x], th[y]) == compose_perms(th[y], th[x])
                 # each theta is an automorphism of the multiplication
                 for z in range(n):
-                    assert th[x][mult.rows[y][z]] == mult.rows[th[x][y]][th[x][z]]
+                    assert th[x][mult[y][z]] == mult[th[x][y]][th[x][z]]
 
 
 def test_associativity_witness_is_the_first_failing_triple(rng):
