@@ -7,8 +7,9 @@ every permutation of the carrier then gives every table.  After each
 assignment a propagator closes the partial table under the equation:
 the first coordinates form an associative table, so the search keeps a
 layer F of first coordinates known before their cells are, and writes
-the cells the second coordinates force.  Prefixes handed to workers
-carry cells only, and F is rebuilt from them before each is finished.
+the cells the second coordinates force.  The search state is two flat
+lists, F of first and T of second coordinates, and the prefixes handed
+to workers carry that state closed, so each resumes where it stopped.
 The search runs on raw tables, so nothing about the classification
 theory is assumed; the theory becomes a checkable output.  The
 row-major search without symmetry breaking and the naive route (every
@@ -53,26 +54,26 @@ class SearchStats:
 # pruned backtracking
 #
 # Cells are visited in the least-number order of SEM (Zhang & Zhang,
-# IJCAI 1995): shell by shell, (max(i, j), i, j).  Unassigned cells hold
-# None, and writing s(p) = q immediately writes s(q) = p.  Let m be the
-# largest element mentioned so far by an assigned cell or by the current
-# cell's indices; the mentioned elements are always 0..m, the others
-# interchangeable, so only values (k, l) with k <= m+1 and
-# l <= max(m, k)+1 are tried: every solution has a relabelling that the
-# search reaches.
+# IJCAI 1995): shell by shell, (max(i, j), i, j).  The partial table is
+# two flat lists, F of first and T of second coordinates, with -1 for
+# unknown; cell w is assigned exactly when T[w] >= 0, and writing
+# s(p) = q immediately writes s(q) = p.  Let m be the largest element
+# mentioned so far by an assigned cell or by the current cell's indices;
+# the mentioned elements are always 0..m, the others interchangeable, so
+# only values (k, l) with k <= m+1 and l <= max(m, k)+1 are tried: every
+# solution has a relabelling that the search reaches.
 #
-# Beside the cells the search keeps F, the known first coordinates: F[w]
-# is k once s(w) = (k, l) is assigned, and it can be known before s(w)
-# is.  The first half of the pentagon equation reads M(M(x,y), z) =
-# M(x, M(y,z)) for the first-coordinate table M, so once F knows M(x,y)
-# and M(y,z), it knows one side from the other.  After every assignment
-# `_propagate` closes the partial table under that associativity and
-# under the second half, which writes the cells it forces; every fact it
-# writes mentions only elements <= m.  A cell whose F is known is tried
-# only with that first coordinate.  The trail undoes cell writes and F
-# writes alike.  Prefixes carry only their cells; `_finish` rebuilds F
-# with one propagation, which reaches the same closure, so the node
-# count does not depend on the worker count.
+# F[w] can be known before s(w) is assigned.  The first half of the
+# pentagon equation reads M(M(x,y), z) = M(x, M(y,z)) for the
+# first-coordinate table M, so once F knows M(x,y) and M(y,z), it knows
+# one side from the other.  After every assignment `_propagate` closes
+# the partial table under that associativity and under the second half,
+# which writes the cells it forces; every fact it writes mentions only
+# elements <= m.  A cell whose F is known is tried only with that first
+# coordinate.  One trail undoes T writes and F writes alike.  The split
+# hands each prefix over with its closure (F, T, m), so `_finish`
+# resumes exactly where the split stopped and the node count does not
+# depend on the worker count.
 #
 # The deadline reads the clock once every _CHECK_INTERVAL assignments
 # and once before each prefix is finished: a propagated prefix tries far
@@ -82,7 +83,7 @@ _CHECK_INTERVAL = 1024
 
 
 class _Deadline:
-    """Absolute point on the monotonic clock; shared across worker processes.
+    """Absolute point on the monotonic clock; each worker rebuilds it from `at`.
 
     `ticks` counts the calls to `expired`, one per assignment tried.
     """
@@ -110,7 +111,7 @@ def _cell_order(n: int) -> list[int]:
     return sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
 
 
-def _propagate(n: int, cells: list, F: list[int], trail: list[int]) -> bool:
+def _propagate(n: int, F: list[int], T: list[int], trail: list[int]) -> bool:
     """Close a partial table under the pentagon equation; False if it fails.
 
     With s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q)
@@ -119,8 +120,8 @@ def _propagate(n: int, cells: list, F: list[int], trail: list[int]) -> bool:
     two known ones must agree.  Once the four cells are assigned, an
     unassigned s(b,d) is written as (q,v) and its partner s(q,v) as
     (b,d), provided that F allows both; an assigned one must equal (q,v).
-    Passes over every triple repeat until one writes nothing.  Cell w is
-    logged on the trail as w, its F as n*n + w.
+    Passes over every triple repeat until one writes nothing.  T[w] is
+    logged on the trail as w, F[w] as n*n + w.
     """
     nn = n * n
     while True:
@@ -151,28 +152,25 @@ def _propagate(n: int, cells: list, F: list[int], trail: list[int]) -> bool:
                         continue  # that cell is unassigned
                     if c < 0:
                         continue
-                    ab, uv = cells[xn + y], cells[yn + z]
-                    cd, pq = cells[az], cells[xu]
-                    if ab is None or uv is None or cd is None or pq is None:
+                    b, v, d, q = T[xn + y], T[yn + z], T[az], T[xu]
+                    if b < 0 or v < 0 or d < 0 or q < 0:
                         continue
-                    b, d, q, v = ab[1], cd[1], pq[1], uv[1]
                     bd, qv = b * n + d, q * n + v
-                    ef = cells[bd]
-                    if ef is not None:
-                        if ef != (q, v):
+                    if T[bd] >= 0:
+                        if T[bd] != v or F[bd] != q:
                             return False
                         continue
                     if 0 <= F[bd] != q:
                         return False
                     if qv != bd:
-                        if cells[qv] is not None or 0 <= F[qv] != b:
+                        if T[qv] >= 0 or 0 <= F[qv] != b:
                             return False
-                        cells[qv] = (b, d)
+                        T[qv] = d
                         trail.append(qv)
                         if F[qv] < 0:
                             F[qv] = b
                             trail.append(nn + qv)
-                    cells[bd] = (q, v)
+                    T[bd] = v
                     trail.append(bd)
                     if F[bd] < 0:
                         F[bd] = q
@@ -182,21 +180,22 @@ def _propagate(n: int, cells: list, F: list[int], trail: list[int]) -> bool:
             return True
 
 
-def _search(n: int, cells: list, F: list[int], order: list[int], pos: int,
-            m: int, trail: list[int], deadline: _Deadline, out: list[tuple],
+def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
+            m: int, trail: list[int], deadline: _Deadline, out: list,
             depth: int = -1) -> None:
-    """Append every consistent extension of `cells` to `out`.
+    """Append every consistent extension of (F, T) to `out`.
 
     Cells before `pos` in `order` are assigned, m is the largest element
-    they mention, and `cells` and `F` are closed under `_propagate`.  An
-    extension stops at a complete table or after `depth` more decisions,
-    whichever comes first; a negative depth never stops early.
+    they mention, and F and T are closed under `_propagate`.  With a
+    negative depth the search runs to the end and appends each complete
+    table; otherwise it stops at a complete table or after `depth` more
+    decisions and appends the prefix (F, T, m), copied.
     """
     end = len(order)
-    while pos < end and cells[order[pos]] is not None:
+    while pos < end and T[order[pos]] >= 0:
         pos += 1
     if pos == end or depth == 0:
-        out.append(tuple(cells))
+        out.append(tuple(zip(F, T)) if depth < 0 else (F[:], T[:], m))
         return
     p = order[pos]
     i, j = divmod(p, n)
@@ -206,13 +205,13 @@ def _search(n: int, cells: list, F: list[int], order: list[int], pos: int,
     for k in range(min(m + 2, n)) if first < 0 else (first,):
         for l in range(min(max(m, k) + 2, n)):
             q = k * n + l
-            if q != p and cells[q] is not None or 0 <= F[q] != i:
+            if q != p and T[q] >= 0 or 0 <= F[q] != i:
                 continue
             if deadline.expired():
                 raise BudgetError("enumeration budget exceeded")
             mark = len(trail)
-            cells[p] = (k, l)
-            cells[q] = (i, j)
+            T[p] = l
+            T[q] = j
             trail.append(p)
             if q != p:
                 trail.append(q)
@@ -222,13 +221,13 @@ def _search(n: int, cells: list, F: list[int], order: list[int], pos: int,
             if F[q] < 0:
                 F[q] = i
                 trail.append(nn + q)
-            if _propagate(n, cells, F, trail):
-                _search(n, cells, F, order, pos + 1, max(m, k, l), trail,
+            if _propagate(n, F, T, trail):
+                _search(n, F, T, order, pos + 1, max(m, k, l), trail,
                         deadline, out, depth - 1)
             while len(trail) > mark:
                 w = trail.pop()
                 if w < nn:
-                    cells[w] = None
+                    T[w] = -1
                 else:
                     F[w - nn] = -1
 
@@ -237,12 +236,8 @@ def _finish(n: int, prefix: tuple, deadline: _Deadline, out: list[tuple]):
     """Every complete table extending a prefix that `_search` emitted."""
     if deadline.passed():
         raise BudgetError("enumeration budget exceeded")
-    cells = list(prefix)
-    F = [-1 if c is None else c[0] for c in cells]
-    m = max((max(c) for c in prefix if c is not None), default=-1)
-    trail: list[int] = []
-    if _propagate(n, cells, F, trail):
-        _search(n, cells, F, _cell_order(n), 0, m, trail, deadline, out)
+    F, T, m = prefix
+    _search(n, list(F), list(T), _cell_order(n), 0, m, [], deadline, out)
 
 
 def _run_prefix(args) -> tuple[list[tuple], int]:
@@ -285,16 +280,18 @@ def enumerate_pruned(
     """
     if not 1 <= n <= 7:
         raise ValidationError("pruned enumeration is limited to sizes 1..7")
+    if workers < 1:
+        raise ValidationError("workers must be at least 1")
     deadline = _Deadline.after_ms(budget_ms)
     prefixes: list[tuple] = []
-    _search(n, [None] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1, [],
+    _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1, [],
             deadline, prefixes, depth=2)
     # the split tries too few assignments for the sampled check to fire
     if deadline.passed():
         raise BudgetError("enumeration budget exceeded")
     tables: list[tuple] = []
     worker_ticks = 0
-    if workers <= 1 or len(prefixes) < 2:
+    if workers == 1 or len(prefixes) < 2:
         for prefix in prefixes:
             _finish(n, prefix, deadline, tables)
     else:

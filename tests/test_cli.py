@@ -240,6 +240,12 @@ def test_enumerate_command(capsys):
     assert "1 tables" in capsys.readouterr().out
 
 
+def test_enumerate_refuses_fewer_than_one_worker(capsys):
+    for workers in ("0", "-4"):
+        assert run(["enumerate", "--size", "4", "--workers", workers]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_oversized_expression_rejected_before_building(capsys):
     # 10^10 and 2^80 cells: refused from the arguments alone, exit 2
     assert run(["verify", "identity(100000)"]) == 2

@@ -192,6 +192,13 @@ def test_budget_covers_prefix_split(monkeypatch):
         enumerate_pruned(6, budget_ms=0, workers=2)
 
 
+def split_cells(cells):
+    """The search's (F, T) layers of a list of (k, l) cells or None."""
+    F = [-1 if c is None else c[0] for c in cells]
+    T = [-1 if c is None else c[1] for c in cells]
+    return F, T
+
+
 def test_prefix_pruning_is_sound():
     # every row-major prefix of a real solution passes the pentagon chase,
     # and every prefix in the search's (max(i, j), i, j) order passes the
@@ -212,22 +219,20 @@ def test_prefix_pruning_is_sound():
             cells[p] = (k, l)
             cells[k * n + l] = divmod(p, n)
             assert chase_pentagon(cells, n) is None
-        cells = [None] * nn
-        F = [-1] * nn
+        F, T = [-1] * nn, [-1] * nn
         trail = []
         for p in _cell_order(n):
-            if cells[p] is not None:
+            if T[p] >= 0:
                 continue  # a partner or a forced cell
             k, l = s.entries[p]
             q = k * n + l
             assert F[p] in (-1, k) and F[q] in (-1, p // n)
-            cells[p] = (k, l)
-            cells[q] = divmod(p, n)
-            F[p], F[q] = k, p // n
-            assert _propagate(n, cells, F, trail)
-            assert all(cells[w] == s.entries[w] for w in trail if w < nn)
+            F[p], T[p] = k, l
+            F[q], T[q] = divmod(p, n)
+            assert _propagate(n, F, T, trail)
+            assert all((F[w], T[w]) == s.entries[w] for w in trail if w < nn)
             assert all(F[w - nn] == s.entries[w - nn][0] for w in trail if w >= nn)
-        assert tuple(cells) == s.entries
+        assert tuple(zip(F, T)) == s.entries
 
 
 @pytest.mark.parametrize("cells, w, first", [
@@ -240,12 +245,31 @@ def test_a_forced_cell_must_agree_with_its_known_first_coordinate(
         cells, w, first):
     # the search reaches such states only where another triple fails too,
     # so the node counts do not pin this check
-    F = [-1 if c is None else c[0] for c in cells]
-    forced, known = list(cells), list(F)
-    assert _propagate(3, forced, known, [])
-    assert known[w] == forced[w][0] != first
+    F, T = split_cells(cells)
+    known, forced = list(F), list(T)
+    assert _propagate(3, known, forced, [])
+    assert forced[w] >= 0 and known[w] != first
     F[w] = first
-    assert not _propagate(3, list(cells), F, [])
+    assert not _propagate(3, F, T, [])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_split_prefixes_carry_the_closure_of_their_cells(monkeypatch, n):
+    # the split hands each prefix over closed; propagating its assigned
+    # cells alone must reach exactly that closure, or the node count
+    # would depend on where a prefix is finished
+    prefixes = []
+    monkeypatch.setattr(
+        enumeration, "_finish", lambda n, prefix, *rest: prefixes.append(prefix)
+    )
+    assert enumerate_pruned(n) == []
+    assert len(prefixes) > 1
+    for F, T, m in prefixes:
+        cells = [None if t < 0 else (f, t) for f, t in zip(F, T)]
+        assert m == max(max(c) for c in cells if c is not None)
+        known, forced = split_cells(cells)
+        assert _propagate(n, known, forced, [])
+        assert (known, forced) == (F, T)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -1,13 +1,20 @@
-"""The benchmark's tracer names package functions; keep those names alive."""
+"""The package as other programs reach it: the benchmark's tracer names
+package functions, and `python -m pentagon` runs the CLI."""
 
 import importlib
+import json
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
+
+from pentagon.cli import run
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 # run_path compiles the source without writing a bytecode cache under bench/
-SPANS = runpy.run_path(
-    str(pathlib.Path(__file__).parent.parent / "bench" / "spans.py")
-)
+SPANS = runpy.run_path(str(ROOT / "bench" / "spans.py"))
 
 
 def test_every_traced_function_resolves():
@@ -19,3 +26,17 @@ def test_every_traced_function_resolves():
 def test_every_traced_module_imports():
     for suffix in SPANS["PACKAGE_MODULES"]:
         importlib.import_module("pentagon" + suffix)
+
+
+def test_module_entry_point_runs_the_worker_pool(capsys):
+    # a real interpreter runs __main__.py, and the pool starts real workers
+    argv = ["--json", "enumerate", "--size", "4", "--up-to-iso", "--workers", "2"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "pentagon", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert run(argv) == 0
+    in_process = json.loads(capsys.readouterr().out)["results"]
+    assert json.loads(done.stdout)["results"] == in_process
