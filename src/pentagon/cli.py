@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -83,6 +84,50 @@ class ParseError(ValueError):
 
 
 def parse_solution(text: str) -> SolutionTable:
+    """The table a solution file's text describes.
+
+    The canonical layout, which `emit_solution` and `construct -o` write,
+    is read by whole table rows.  Any other layout the format allows
+    (rows in any order, other whitespace, leading zeros or signs) is read
+    line by line, giving the same table and the same errors.
+    """
+    table = _parse_rows(text)
+    return table if table is not None else _parse_lines(text)
+
+
+def _parse_rows(text: str) -> SolutionTable | None:
+    """The canonical layout, one table row of n lines at a time; None when
+    any part of the text differs from it."""
+    count = text.count("\n")  # the line count of a canonical text
+    n = math.isqrt(max(count - 2, 0))
+    head = f"{HEADER}\nsize {n}\n"
+    if n < 1 or n * n + 2 != count or not text.startswith(head):
+        return None
+    names = [str(v) for v in range(n)]
+    get = dict(zip(names, range(n))).__getitem__
+    block = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+ [0-9]+\n){%d}" % n)
+    entries: list[tuple[int, int]] = []
+    pos = len(head)
+    for name in names:
+        m = block.match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        t = m.group().split()
+        if t[0::4].count(name) != n or t[1::4] != names:
+            return None
+        try:
+            entries += zip(map(get, t[2::4]), map(get, t[3::4]))
+        except KeyError:  # k or l out of range, or not in canonical decimal
+            return None
+    if pos != len(text):
+        return None
+    return SolutionTable(n, tuple(entries))
+
+
+def _parse_lines(text: str) -> SolutionTable:
+    """Any layout the format allows, one line at a time; the source of
+    every parse error and its line number."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise ParseError(f"expected header {HEADER!r}", 1)

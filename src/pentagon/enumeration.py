@@ -253,31 +253,11 @@ def _orbit(n: int, cells: tuple) -> set[tuple]:
     return {relabel_cells(cells, p, n) for p in permutations(range(n))}
 
 
-def _orbits(n: int, tables: list[tuple]) -> list[tuple]:
-    """Every relabelling of the tables under Sym(n), sorted, without repeats."""
-    seen: set[tuple] = set()
-    for t in tables:
-        if t not in seen:  # otherwise its whole orbit is in already
-            seen |= _orbit(n, t)
-    return sorted(seen)  # (k, l) pairs sort like their codes k*n + l
-
-
-def enumerate_pruned(
-    n: int,
-    budget_ms: float | None = None,
-    workers: int = 1,
-    stats: SearchStats | None = None,
-) -> list[SolutionTable]:
-    """Every involutive solution of size n, sorted; sizes 1..7.
-
-    The symmetry-broken search finds at least one table of every
-    isomorphism class; their orbits under Sym(n) give every table.  The
-    search splits into prefixes after two decisions, then finishes each
-    one, in this process or on `workers` processes.  Raises BudgetError
-    instead of silently truncating when the time budget runs out,
-    splitting included.  The output, and the node count left in `stats`,
-    are independent of the worker count.
-    """
+def _orbits(
+    n: int, budget_ms: float | None, workers: int, stats: SearchStats | None
+) -> list[set[tuple]]:
+    """The Sym(n)-orbits of the tables the search finds, one per class,
+    each expanded once; `enumerate_pruned` describes the search."""
     if not 1 <= n <= 7:
         raise ValidationError("pruned enumeration is limited to sizes 1..7")
     if workers < 1:
@@ -304,7 +284,34 @@ def enumerate_pruned(
                 worker_ticks += ticks
     if stats is not None:
         stats.nodes = deadline.ticks + worker_ticks
-    return [SolutionTable(n, t) for t in _orbits(n, tables)]
+    orbits: list[set[tuple]] = []
+    seen: set[tuple] = set()
+    for t in tables:
+        if t not in seen:  # otherwise its whole orbit is in already
+            orbits.append(_orbit(n, t))
+            seen |= orbits[-1]
+    return orbits
+
+
+def enumerate_pruned(
+    n: int,
+    budget_ms: float | None = None,
+    workers: int = 1,
+    stats: SearchStats | None = None,
+) -> list[SolutionTable]:
+    """Every involutive solution of size n, sorted; sizes 1..7.
+
+    The symmetry-broken search finds at least one table of every
+    isomorphism class; their orbits under Sym(n) give every table.  The
+    search splits into prefixes after two decisions, then finishes each
+    one, in this process or on `workers` processes.  Raises BudgetError
+    instead of silently truncating when the time budget runs out,
+    splitting included.  The output, and the node count left in `stats`,
+    are independent of the worker count.
+    """
+    orbits = _orbits(n, budget_ms, workers, stats)
+    # (k, l) pairs sort like their codes k*n + l
+    return [SolutionTable(n, t) for t in sorted(set().union(*orbits))]
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +339,19 @@ def count_up_to_iso(
 ) -> EnumerationReport:
     """Enumerate, then group into isomorphism classes.
 
-    The classes are the orbits under Sym(n).  The table list is sorted,
-    so the first table not yet covered by an orbit is the least of its
-    own, its canonical form, and becomes the class representative.
-    `classify` runs once per class; two classes with the same triple
-    contradict the classification theorem and raise ValidationError.
+    The classes are the orbits under Sym(n), each expanded once.  An
+    orbit's least table is its canonical form and becomes the class
+    representative, in sorted order.  `classify` runs once per class;
+    two classes with the same triple contradict the classification
+    theorem and raise ValidationError.
     """
     started = time.monotonic()
     stats = SearchStats()
-    tables = enumerate_pruned(
-        n, budget_ms=budget_ms, workers=workers, stats=stats
-    )
-    covered: set[tuple] = set()
+    orbits = _orbits(n, budget_ms, workers, stats)
     reps: list[SolutionTable] = []
     triples: list[tuple[int, int, int]] = []
-    for t in tables:
-        if t.entries in covered:
-            continue
-        covered |= _orbit(n, t.entries)
+    for least in sorted(map(min, orbits)):
+        t = SolutionTable(n, least)
         c = classify(t)
         triple = (c.x_size, c.a_dim, c.g_dim)
         if triple in triples:
@@ -360,7 +362,7 @@ def count_up_to_iso(
         triples.append(triple)
     return EnumerationReport(
         size=n,
-        raw_count=len(tables),
+        raw_count=sum(map(len, orbits)),
         class_count=len(reps),
         representatives=tuple(reps),
         class_triples=tuple(triples),

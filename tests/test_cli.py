@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pentagon import (
+    ValidationError,
     canonical_solution,
     cycle_solution,
     cyclic_group,
@@ -21,6 +22,7 @@ from pentagon.cli import (
     MAX_EXPRESSION_CELLS,
     ParseError,
     _build_parser,
+    _parse_lines,
     emit_solution,
     load_solution,
     parse_sigma_text,
@@ -67,6 +69,72 @@ def test_parse_accepts_shuffled_rows():
 @given(s=near_solutions())
 def test_parse_inverts_emit(s):
     assert parse_solution(emit_solution(s)) == s
+
+
+# edits of an emitted text: each breaks the canonical layout, or keeps it
+# (an identity shuffle, say), and both readers must then agree
+TEXT_EDITS = [
+    "none", "shuffle", "trailing space", "tab", "crlf", "leading zero",
+    "plus sign", "out of range", "not an integer", "dropped row",
+    "duplicated row", "three then five tokens", "size too large",
+    "no final newline", "text after the last line",
+]
+
+
+def _edited_text(data, s):
+    head, rows = [HEADER, f"size {s.size}"], emit_solution(s).splitlines()[2:]
+    edit = data.draw(st.sampled_from(TEXT_EDITS), label="edit")
+    r = data.draw(st.integers(0, len(rows) - 1), label="row")
+    c = data.draw(st.integers(0, 3), label="column")
+    tokens = rows[r].split()
+    end = "\n"
+    if edit == "shuffle":
+        rows = data.draw(st.permutations(rows), label="order")
+    elif edit == "trailing space":
+        rows[r] += " "
+    elif edit == "tab":
+        rows[r] = rows[r].replace(" ", "\t", 1)
+    elif edit == "crlf":
+        end = "\r\n"
+    elif edit == "leading zero":
+        tokens[c] = "0" + tokens[c]
+    elif edit == "plus sign":
+        tokens[c] = "+" + tokens[c]
+    elif edit == "out of range":
+        tokens[c] = data.draw(st.sampled_from([str(s.size), str(s.size + 1), "-1"]))
+    elif edit == "not an integer":
+        tokens[c] = "x"
+    elif edit == "dropped row":
+        del rows[r]
+    elif edit == "duplicated row":
+        rows.insert(r, rows[r])
+    elif edit == "three then five tokens":
+        # the same tokens in the same order, one moved to the next line
+        rows[r:r + 2] = [" ".join(tokens[:3]), " ".join([tokens[3]] + rows[r + 1:r + 2])]
+    elif edit == "size too large":
+        head[1] = f"size {s.size + data.draw(st.integers(1, 3))}"
+    if edit in ("leading zero", "plus sign", "out of range", "not an integer"):
+        rows[r] = " ".join(tokens)
+    text = end.join(head + rows) + end
+    if edit == "no final newline":
+        return text[:-1]
+    if edit == "text after the last line":
+        return text + rows[r]
+    return text
+
+
+@given(s=near_solutions(), data=st.data())
+def test_row_reader_agrees_with_line_reader(s, data):
+    text = _edited_text(data, s)
+    try:
+        want = _parse_lines(text)
+    except (ParseError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_solution(text)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_solution(text) == want
 
 
 def test_emit_line_counts():

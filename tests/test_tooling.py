@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 
+from pentagon import SolutionTable, canonical_solution, cli
 from pentagon.cli import run
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -40,3 +41,20 @@ def test_module_entry_point_runs_the_worker_pool(capsys):
     assert run(argv) == 0
     in_process = json.loads(capsys.readouterr().out)["results"]
     assert json.loads(done.stdout)["results"] == in_process
+
+
+def test_canonical_layout_is_read_by_rows(monkeypatch):
+    # users' `-o` files and the benchmark's inputs share one layout, and the
+    # row reader takes it whole: the line reader is never reached
+    def line_reader(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(cli, "_parse_lines", line_reader)
+    s = canonical_solution(4, 2, 2)
+    assert cli.parse_solution(cli.emit_solution(s)) == s
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    n, cells = workloads["relabel_table"](
+        workloads["canonical_table"](2, 1, 1), [5, 0, 7, 2, 6, 1, 3, 4]
+    )
+    text = workloads["emit_table"]((n, cells))
+    assert cli.parse_solution(text) == SolutionTable(n, cells)
