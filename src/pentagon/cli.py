@@ -294,6 +294,8 @@ def _write_or_print(text: str, path: str | None, report: _Report) -> None:
 def _cmd_verify(args, report: _Report) -> int:
     s = load_solution(args.solution)
     names = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    if not names:
+        raise ValidationError("no axioms given")
     unknown = [a for a in names if a not in AXIOM_CHECKS]
     if unknown:
         raise ValidationError(f"unknown axioms: {', '.join(unknown)}")

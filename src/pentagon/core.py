@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 
@@ -167,94 +168,54 @@ def perm_order(p: Sequence[int]) -> int:
 # axiom predicates
 #
 # Composition is right to left throughout: in a product like s23 s13 s12
-# the map s12 acts first.  A triple (x, y, z) is evaluated by chasing the
-# tables directly, which keeps every predicate total.  The pentagon check
-# of a complete table with at most 256 elements composes whole rows as
-# bytes instead (`pentagon_witness`); the triple chase serves larger
-# carriers and the oracles' partial tables.
+# the map s12 acts first.  The predicates chase the tables triple by
+# triple, which keeps every one total, except the pentagon check, which
+# composes whole coordinate rows (`pentagon_witness`).  The search
+# propagates the equation on its partial tables itself
+# (`enumeration._propagate`).
 
-
-def chase_pentagon(
-    cells: Sequence[Optional[tuple[int, int]]], n: int
-) -> Optional[tuple[int, int, int]]:
-    """First triple (x, y, z) whose assigned cells break s23 s13 s12 = s12 s23.
-
-    ``cells[x * n + y]`` is s(x, y), or None while unassigned.  With
-    s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q) and
-    s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v); each part
-    is compared once the cells it reads are assigned, so a triple found
-    on a partial table fails on every completion of it.  The chase only
-    reads `cells`.
-
-    `pentagon_witness` checks complete tables of up to 256 elements by
-    byte rows and calls this chase above that; the row-major search of
-    the test oracles prunes its partial tables with it.  The library's
-    own search propagates the two comparisons itself
-    (`enumeration._propagate`).
-    """
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            ab = cells[xn + y]
-            if ab is None:
-                continue
-            a, b = ab
-            an, bn, yn = a * n, b * n, y * n
-            for z in range(n):
-                uv = cells[yn + z]
-                if uv is None:
-                    continue
-                u, v = uv
-                cd = cells[an + z]
-                pq = cells[xn + u]
-                if cd is None or pq is None:
-                    continue
-                c, d = cd
-                p, q = pq
-                if c != p:
-                    return (x, y, z)
-                ef = cells[bn + d]
-                if ef is None:
-                    continue
-                e, f = ef
-                if e != q or f != v:
-                    return (x, y, z)
-    return None
-
-
-# Rows of a complete table whose entries fit in a byte are composed with
-# `bytes.translate`; larger carriers go through `chase_pentagon`.
+# Rows of a table whose entries fit in a byte are composed with
+# `bytes.translate`; rows of larger carriers with `operator.itemgetter`.
 _BYTE_RANGE = 256
 
 
 def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
     """First triple (x, y, z) where s23 s13 s12 != s12 s23, or None.
 
-    With M[i] and T[i] the coordinate rows of s (s(i, j) = (M[i][j],
-    T[i][j])), the z-rows of `chase_pentagon`'s names are c = M[a],
-    p = M[x] o M[y], e = M[b] o T[a], q = T[x] o M[y], f = T[b] o T[a] and
-    v = T[y], each one `bytes.translate` at most, so a pair (x, y) holds
-    for every z when three pairs of rows are equal.  Only the first pair
-    that fails is walked by z.
+    With s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q)
+    and s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v).  With
+    M[i] and T[i] the coordinate rows of s (s(i, j) = (M[i][j], T[i][j])),
+    the z-rows of these names are c = M[a], p = M[x] o M[y], e = M[b] o
+    T[a], q = T[x] o M[y], f = T[b] o T[a] and v = T[y], so a pair (x, y)
+    holds for every z when three pairs of rows are equal.  Each row gets
+    its composer, r -> r o row, before the loop: `bytes.translate` on
+    byte rows up to `_BYTE_RANGE` elements, an `itemgetter` on tuple rows
+    above.  Only the first pair that fails is walked by z.
     """
     n = s.size
-    if n > _BYTE_RANGE:
-        return chase_pentagon(s.entries, n)
     ent = s.entries
-    pad = bytes(256 - n)  # a translation table maps all 256 byte values
-    firsts, seconds = bytes([k for k, _ in ent]), bytes([l for _, l in ent])
+    rows = bytes if n <= _BYTE_RANGE else tuple
+    firsts, seconds = rows([k for k, _ in ent]), rows([l for _, l in ent])
     M = [firsts[i:i + n] for i in range(0, n * n, n)]
     T = [seconds[i:i + n] for i in range(0, n * n, n)]
-    Mpad = [row + pad for row in M]
-    Tpad = [row + pad for row in T]
+    if n <= _BYTE_RANGE:
+        pad = bytes(256 - n)  # a translation table maps all 256 byte values
+        Mtab, Ttab = [row + pad for row in M], [row + pad for row in T]
+        Mcomp = [row.translate for row in M]
+        Tcomp = [row.translate for row in T]
+    else:
+        # n >= 2 here: itemgetter of a single index returns no tuple
+        Mtab, Ttab = M, T
+        Mcomp = [itemgetter(*row) for row in M]
+        Tcomp = [itemgetter(*row) for row in T]
     for x in range(n):
-        mx, tx, xn = Mpad[x], Tpad[x], x * n
+        mx, tx, xn = Mtab[x], Ttab[x], x * n
         for y in range(n):
             a, b = ent[xn + y]
-            my, ta = M[y], T[a]
-            c, p = M[a], my.translate(mx)
-            e, q = ta.translate(Mpad[b]), my.translate(tx)
-            f, v = ta.translate(Tpad[b]), T[y]
+            my, ta = Mcomp[y], Tcomp[a]
+            c, p = M[a], my(mx)
+            e, q = ta(Mtab[b]), my(tx)
+            f, v = ta(Ttab[b]), T[y]
             if c != p or e != q or f != v:
                 for z in range(n):
                     if c[z] != p[z] or e[z] != q[z] or f[z] != v[z]:

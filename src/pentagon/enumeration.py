@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
+from math import comb, isfinite
 
 from .core import (
     BudgetError,
@@ -262,6 +262,8 @@ def _orbits(
         raise ValidationError("pruned enumeration is limited to sizes 1..7")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
+    if budget_ms is not None and not isfinite(budget_ms):
+        raise ValidationError("budget_ms must be a finite number")
     deadline = _Deadline.after_ms(budget_ms)
     prefixes: list[tuple] = []
     _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1, [],

@@ -2,12 +2,13 @@
 
 Everything here evaluates the composite-map identities literally, as
 dictionaries on the full triple set, sharing no code with the package
-internals.  Slow and obviously correct is the point.  Two exceptions:
-`row_major_tables`, the search without symmetry breaking, which prunes
-with the package's read-only pentagon chase (itself checked against
-`pentagon_failures` in the core tests), and `canonical_form_oracle`, which
-takes the least of the package's validated `relabel` one permutation at a
-time instead of building the orbit as a set.
+internals.  Slow and obviously correct is the point.  One exception:
+`canonical_form_oracle` takes the least of the package's validated
+`relabel` one permutation at a time instead of building the orbit as a
+set.  `row_major_tables`, the search without symmetry breaking, prunes
+with `chase_pentagon`, a triple-by-triple chase that accepts partial
+tables and is itself checked against `pentagon_failures` in the core
+tests.
 
 `symmetric_group` and `check_simple` are library-style helpers that only
 the tests call: a non-abelian group for the constructor panels, and the
@@ -15,6 +16,7 @@ simplicity of the left groups that solutions carry.
 """
 
 from itertools import permutations
+from typing import Optional, Sequence
 
 from pentagon import (
     GroupTable,
@@ -25,7 +27,7 @@ from pentagon import (
     relabel,
 )
 from pentagon.analysis import is_associative
-from pentagon.core import chase_pentagon, compose_perms
+from pentagon.core import compose_perms
 
 
 def as_map(s: SolutionTable) -> dict:
@@ -311,6 +313,53 @@ def naive_tables(n: int) -> list:
     return sorted(
         (s for s in tables if pentagon_oracle(s)), key=lambda t: t.entries
     )
+
+
+def chase_pentagon(
+    cells: Sequence[Optional[tuple[int, int]]], n: int
+) -> Optional[tuple[int, int, int]]:
+    """First triple (x, y, z) whose assigned cells break s23 s13 s12 = s12 s23.
+
+    ``cells[x * n + y]`` is s(x, y), or None while unassigned.  With
+    s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q) and
+    s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v); each part
+    is compared once the cells it reads are assigned, so a triple found
+    on a partial table fails on every completion of it.  The chase only
+    reads `cells`.
+
+    `row_major_tables` prunes its partial tables with it; the library
+    checks complete tables by rows (`pentagon_witness`) and its own
+    search propagates the two comparisons itself
+    (`enumeration._propagate`).
+    """
+    for x in range(n):
+        xn = x * n
+        for y in range(n):
+            ab = cells[xn + y]
+            if ab is None:
+                continue
+            a, b = ab
+            an, bn, yn = a * n, b * n, y * n
+            for z in range(n):
+                uv = cells[yn + z]
+                if uv is None:
+                    continue
+                u, v = uv
+                cd = cells[an + z]
+                pq = cells[xn + u]
+                if cd is None or pq is None:
+                    continue
+                c, d = cd
+                p, q = pq
+                if c != p:
+                    return (x, y, z)
+                ef = cells[bn + d]
+                if ef is None:
+                    continue
+                e, f = ef
+                if e != q or f != v:
+                    return (x, y, z)
+    return None
 
 
 def _row_major(n, cells, start, out):

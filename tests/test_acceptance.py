@@ -67,7 +67,7 @@ def _cli_json(capsys, argv):
 
 
 def test_criterion_1_classification_counts(capsys):
-    with criterion(1, "class counts 1,3,1,6 for sizes 1..4; 5 and 6 best-effort"):
+    with criterion(1, "class counts 1,3,1,6,1,3 for sizes 1..6"):
         expected = {1: 1, 2: 3, 3: 1, 4: 6}
         for n, want in expected.items():
             t0 = time.perf_counter()
@@ -95,12 +95,9 @@ def test_criterion_1_classification_counts(capsys):
                     "2",
                 ],
             )
-            if code == 0:
-                assert payload["results"]["class_count"] == want
-            else:
-                # inconclusive is acceptable, a wrong count is not
-                assert code == 3
-                assert payload["results"].get("budget_exceeded") is True
+            # both finish far inside their budgets (about 0.06 s and 0.3 s)
+            assert code == 0
+            assert payload["results"]["class_count"] == want
 
 
 def test_criterion_2_oracle_equivalence():

@@ -242,6 +242,15 @@ def test_verify_unknown_axiom():
     assert run(["verify", "--axioms", "sparkle", "identity(2)"]) == 2
 
 
+def test_verify_without_axioms_exits_2(capsys):
+    # an empty list checks nothing, which must not read as "holds"
+    for axioms in ("", " , "):
+        assert run(["verify", "--axioms", axioms, "identity(2)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no axioms given" in captured.err
+
+
 def test_verify_missing_file():
     assert run(["verify", "no/such/file.solution"]) == 2
 
@@ -312,6 +321,17 @@ def test_enumerate_refuses_fewer_than_one_worker(capsys):
     for workers in ("0", "-4"):
         assert run(["enumerate", "--size", "4", "--workers", workers]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
+
+
+def test_enumerate_refuses_a_non_finite_budget(capsys):
+    # nan and inf would run the whole search unbudgeted and put values
+    # that are not JSON into the report's inputs
+    for budget in ("nan", "inf", "-inf", "Infinity"):
+        argv = ["--json", "enumerate", "--size", "6", "--up-to-iso"]
+        assert run(argv + [f"--budget-ms={budget}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget_ms must be a finite number" in captured.err
 
 
 def test_oversized_expression_rejected_before_building(capsys):

@@ -1,4 +1,5 @@
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,12 +36,7 @@ from pentagon import (
 from pentagon import core
 from pentagon.analysis import classify
 from pentagon.constructors import Decomposition, SigmaMap, group_from_cayley
-from pentagon.core import (
-    associativity_witness,
-    chase_pentagon,
-    compose_perms,
-    inverse_perm,
-)
+from pentagon.core import associativity_witness, compose_perms, inverse_perm
 
 from conftest import (
     bijective_finite_order_panel,
@@ -120,12 +116,12 @@ def test_pentagon_witness_is_the_least_failing_triple(s):
 
 @given(s=near_solutions(), data=st.data())
 def test_chase_on_a_partial_table_reports_only_real_failures(s, data):
-    # the search prunes on this chase, so a triple it finds with cells
-    # still blank must fail on the complete table too
+    # the oracles' row-major search prunes on this chase, so a triple it
+    # finds with cells still blank must fail on the complete table too
     n = s.size
     keep = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     cells = [c if k else None for c, k in zip(s.entries, keep)]
-    found = chase_pentagon(cells, n)
+    found = oracles.chase_pentagon(cells, n)
     assert found is None or found in oracles.pentagon_failures(s)
 
 
@@ -163,38 +159,45 @@ def test_byte_rows_agree_with_the_chase_on_large_tables():
         # a solution, where the chase returns None after n^3 lookups
         assert pentagon_witness(s) is None
         for t in misses:
-            assert pentagon_witness(t) == chase_pentagon(t.entries, t.size)
+            assert pentagon_witness(t) == oracles.chase_pentagon(t.entries, t.size)
 
 
-def witness_with_chase_spy(s, byte_range):
-    """`pentagon_witness(s)` under a given byte range, with the carrier
-    sizes the chase was called on."""
-    sizes = []
+def witness_with_route_spy(s, byte_range):
+    """`pentagon_witness(s)` under a given byte range, and whether it took
+    the wide route, which composes tuple rows with `itemgetter`."""
+    getters = []
 
-    def chase(cells, n):
-        sizes.append(n)
-        return chase_pentagon(cells, n)
+    def getter(*items):
+        getters.append(len(items))
+        return itemgetter(*items)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BYTE_RANGE", byte_range)
-        mp.setattr(core, "chase_pentagon", chase)
-        return pentagon_witness(s), sizes
+        mp.setattr(core, "itemgetter", getter)
+        return pentagon_witness(s), bool(getters)
 
 
 @given(s=near_solutions())
-def test_carriers_beyond_the_byte_range_take_the_chase(s):
-    found, sizes = witness_with_chase_spy(s, 2)
+def test_carriers_beyond_the_byte_range_take_the_wide_route(s):
+    # a byte range of at least 1 keeps single-element rows off the wide
+    # route, where itemgetter of one index would return a scalar
+    found, wide = witness_with_route_spy(s, 1)
     assert found == oracles.pentagon_failure_oracle(s)
-    assert sizes == ([s.size] if s.size > 2 else [])
+    assert wide == (s.size > 1)
 
 
 def test_byte_rows_cover_exactly_the_byte_range():
     # s(0, 1) = (1, 1) on the identity first fails at c != p for (0, 2, 1)
-    for n, sizes in ((256, []), (257, [257])):
+    for n in (256, 257):
         cells = list(identity_solution(n).entries)
         cells[1] = (1, 1)
         t = SolutionTable(n, tuple(cells))
-        assert witness_with_chase_spy(t, 256) == ((0, 2, 1), sizes)
+        assert witness_with_route_spy(t, 256) == ((0, 2, 1), n == 257)
+
+
+def test_identity_beyond_the_byte_range_holds():
+    # every pair (x, y) of the wide route composes its rows, about 1.5 s
+    assert pentagon_witness(identity_solution(257)) is None
 
 
 def test_reversed_pentagon_examples():

@@ -23,7 +23,6 @@ from pentagon import (
 )
 from pentagon import enumeration
 from pentagon.cli import run
-from pentagon.core import chase_pentagon
 from pentagon.enumeration import SearchStats, _cell_order, _propagate
 
 import oracles
@@ -129,6 +128,18 @@ def test_budget_exceeded_raises_with_workers():
         enumerate_pruned(6, budget_ms=40, workers=2)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_budget_is_refused_before_the_search(monkeypatch, budget):
+    def search(*args, **kwargs):
+        pytest.fail("the search started")
+
+    monkeypatch.setattr(enumeration, "_search", search)
+    with pytest.raises(ValidationError, match="finite"):
+        enumerate_pruned(4, budget_ms=budget)
+    with pytest.raises(ValidationError, match="finite"):
+        count_up_to_iso(4, budget_ms=budget, workers=2)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_is_checked_before_each_prefix(monkeypatch, workers):
     # a deadline that passes after the split: the clock reads an hour early
@@ -218,7 +229,7 @@ def test_prefix_pruning_is_sound():
                 continue  # written as the partner of an earlier cell
             cells[p] = (k, l)
             cells[k * n + l] = divmod(p, n)
-            assert chase_pentagon(cells, n) is None
+            assert oracles.chase_pentagon(cells, n) is None
         F, T = [-1] * nn, [-1] * nn
         trail = []
         for p in _cell_order(n):

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import runpy
+import shlex
 import subprocess
 import sys
 
@@ -58,3 +59,16 @@ def test_canonical_layout_is_read_by_rows(monkeypatch):
     )
     text = workloads["emit_table"]((n, cells))
     assert cli.parse_solution(text) == SolutionTable(n, cells)
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch):
+    # every `pentagon ...` line of the "Command line" block, in order,
+    # since later lines read the files earlier ones write
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [ln for ln in block.splitlines() if ln.startswith("pentagon ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sigma.txt").write_text("0 1\n1 0\n")
+    for line in commands:
+        assert run(shlex.split(line)[1:]) == 0, line
