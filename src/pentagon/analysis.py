@@ -14,6 +14,7 @@ from typing import Optional
 
 from .core import (
     Bijection,
+    BudgetError,
     MultTable,
     SolutionTable,
     ValidationError,
@@ -25,10 +26,6 @@ from .core import (
     is_morphism,
 )
 from .constructors import GroupTable, group_from_cayley
-
-# the carrier bound of the exponential find_isomorphism search
-MAX_ISO_SEARCH_SIZE = 8
-
 
 @dataclass(frozen=True)
 class RetractResult:
@@ -198,6 +195,10 @@ def classify(s: SolutionTable) -> ClassificationTriple:
 
 
 def is_isomorphic_invariant(s: SolutionTable, t: SolutionTable) -> bool:
+    """Whether the classification triples agree: isomorphism by the theorem.
+
+    It gives no map; `isomorphic` uses `find_isomorphism`, which does.
+    """
     return classify(s) == classify(t)
 
 
@@ -215,75 +216,85 @@ def _element_signatures(s: SolutionTable) -> list[tuple]:
     return sigs
 
 
+# Pair visits find_isomorphism may spend before it raises BudgetError.  A
+# decision's closure visits at most 1 + 2 + ... + n pairs, 36 at n = 8, and
+# up to size 8 the search has at most 109,600 decisions (the injective
+# sequences into 8 elements): 36 * 109,600 < 2**22, so none runs out.
+_ISO_WORK_BUDGET = 1 << 22
+
+
 def find_isomorphism(s: SolutionTable, t: SolutionTable) -> Optional[Bijection]:
     """Search for a bijection f with (f x f) s = t (f x f).
 
-    Backtracking over partial assignments; each placed image forces the
-    images of both output coordinates on every fully assigned pair, so
-    contradictions surface long before the map is total.
+    Elements are matched by signature (idempotent or not, shape of theta_x)
+    before any search.  Backtracking maps the first unmapped element to each
+    free image in turn; a worklist checks every newly mapped u once against
+    each element mapped up to and including it, as (u, y) and (y, u), and
+    forces the images of both output coordinates.  Raises BudgetError past
+    `_ISO_WORK_BUDGET` pair visits, which no input of size 8 or less reaches.
     """
     if s.size != t.size:
         raise ValidationError("size mismatch")
-    n = s.size
-    if n > MAX_ISO_SEARCH_SIZE:
-        raise ValidationError(
-            f"carrier size {n} exceeds the bound {MAX_ISO_SEARCH_SIZE}"
-        )
-
-    sig_s = _element_signatures(s)
-    sig_t = _element_signatures(t)
+    sig_s, sig_t = _element_signatures(s), _element_signatures(t)
     if sorted(sig_s) != sorted(sig_t):
         return None
-
-    fwd = [-1] * n
-    bwd = [-1] * n
-
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for x in range(n):
-                fx = fwd[x]
-                if fx < 0:
-                    continue
-                for y in range(n):
-                    fy = fwd[y]
-                    if fy < 0:
-                        continue
-                    k, l = s.apply(x, y)
-                    k2, l2 = t.apply(fx, fy)
-                    for src, dst in ((k, k2), (l, l2)):
-                        cur = fwd[src]
-                        if cur == dst:
-                            continue
-                        if cur >= 0 or bwd[dst] >= 0 or sig_s[src] != sig_t[dst]:
-                            return False
-                        fwd[src] = dst
-                        bwd[dst] = src
-                        trail.append(src)
-                        changed = True
-        return True
-
-    def solve() -> bool:
-        x = next((i for i in range(n) if fwd[i] < 0), -1)
-        if x < 0:
-            return True
-        for y in range(n):
-            if bwd[y] >= 0 or sig_s[x] != sig_t[y]:
-                continue
-            trail = [x]
-            fwd[x] = y
-            bwd[y] = x
-            if propagate(trail) and solve():
-                return True
-            for u in trail:
-                bwd[fwd[u]] = -1
-                fwd[u] = -1
-        return False
-
-    if not solve():
+    fwd = [-1] * s.size
+    if not _extend((s.entries, t.entries, sig_s, sig_t, fwd, [-1] * s.size, [], [0])):
         return None
     f = Bijection(tuple(fwd))
     if not is_morphism(f, s, t):
         raise ValidationError("internal error: candidate map is not a morphism")
     return f
+
+
+def _extend(state) -> bool:
+    """Complete the partial map from its first unmapped element, or undo
+    what was mapped here and return False.  `state` holds both tables'
+    entries and signatures, the map fwd and its inverse bwd, the mapped
+    elements in mapping order, and the pair visits spent in a 1-list.
+    """
+    _, _, sig_s, sig_t, fwd, bwd, order, _ = state
+    x = next((i for i, v in enumerate(fwd) if v < 0), -1)
+    if x < 0:
+        return True
+    base = len(order)
+    for y, v in enumerate(bwd):
+        if v >= 0 or sig_s[x] != sig_t[y]:
+            continue
+        fwd[x] = y
+        bwd[y] = x
+        order.append(x)
+        if _close(state, base) and _extend(state):
+            return True
+        for u in order[base:]:
+            bwd[fwd[u]] = -1
+            fwd[u] = -1
+        del order[base:]
+    return False
+
+
+def _close(state, i: int) -> bool:
+    """Force the images implied by order[i:], appending them to `order`."""
+    se, te, sig_s, sig_t, fwd, bwd, order, work = state
+    n = len(fwd)
+    while i < len(order):
+        u = order[i]
+        fu = fwd[u]
+        i += 1
+        work[0] += i
+        if work[0] > _ISO_WORK_BUDGET:
+            raise BudgetError("isomorphism search exceeded its work bound")
+        for y in order[:i]:
+            fy = fwd[y]
+            (k, l), (k2, l2) = se[u * n + y], te[fu * n + fy]
+            (p, q), (p2, q2) = se[y * n + u], te[fy * n + fu]
+            for src, dst in ((k, k2), (l, l2), (p, p2), (q, q2)):
+                cur = fwd[src]
+                if cur == dst:
+                    continue
+                if cur >= 0 or bwd[dst] >= 0 or sig_s[src] != sig_t[dst]:
+                    return False
+                fwd[src] = dst
+                bwd[dst] = src
+                order.append(src)
+    return True

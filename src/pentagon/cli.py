@@ -49,10 +49,8 @@ from .constructors import (
     sigma_search,
 )
 from .analysis import (
-    MAX_ISO_SEARCH_SIZE,
     classify,
     find_isomorphism,
-    is_isomorphic_invariant,
     retract,
 )
 from .enumeration import count_up_to_iso, enumerate_pruned
@@ -367,25 +365,16 @@ def _cmd_isomorphic(args, report: _Report) -> int:
     if s.size != t.size:
         report.say("not isomorphic: sizes differ", isomorphic=False)
         return 1
-    if s.size <= MAX_ISO_SEARCH_SIZE:
-        f = find_isomorphism(s, t)
-        if f is None:
-            report.say("not isomorphic", isomorphic=False)
-            return 1
-        report.say(
-            f"isomorphic via {' '.join(map(str, f.images))}",
-            isomorphic=True,
-            bijection=list(f.images),
-        )
-        return 0
-    same = is_isomorphic_invariant(s, t)
+    f = find_isomorphism(s, t)
+    if f is None:
+        report.say("not isomorphic", isomorphic=False)
+        return 1
     report.say(
-        f"classification triples {'match' if same else 'differ'}"
-        " (size above search bound, invariant comparison)",
-        isomorphic=same,
-        method="invariant",
+        f"isomorphic via {' '.join(map(str, f.images))}",
+        isomorphic=True,
+        bijection=list(f.images),
     )
-    return 0 if same else 1
+    return 0
 
 
 def _cmd_enumerate(args, report: _Report) -> int:

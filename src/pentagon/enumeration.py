@@ -262,8 +262,8 @@ def _orbits(
         raise ValidationError("pruned enumeration is limited to sizes 1..7")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
-    if budget_ms is not None and not isfinite(budget_ms):
-        raise ValidationError("budget_ms must be a finite number")
+    if budget_ms is not None and not (isfinite(budget_ms) and budget_ms >= 0):
+        raise ValidationError("budget_ms must be a finite number, 0 or more")
     deadline = _Deadline.after_ms(budget_ms)
     prefixes: list[tuple] = []
     _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1, [],

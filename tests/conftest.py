@@ -42,6 +42,15 @@ def small_involutive_panel():
     ]
 
 
+def identity_with_one_cell_changed(n):
+    """identity(n) with s(0, 1) = (2, 1): not a solution, but every element's
+    signature equals identity(n)'s, so only the isomorphism search tells
+    the two apart."""
+    cells = list(identity_solution(n).entries)
+    cells[1] = (2, 1)
+    return SolutionTable(n, tuple(cells))
+
+
 def bijective_finite_order_panel():
     """Bijective solutions of finite order that need not be involutive."""
     return [

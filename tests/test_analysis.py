@@ -1,7 +1,11 @@
+import gc
+import random
+
 import pytest
 
 from pentagon import (
     Bijection,
+    BudgetError,
     MultTable,
     ValidationError,
     abelian_structure,
@@ -9,6 +13,7 @@ from pentagon import (
     check_bijective,
     classify,
     cyclic_group,
+    decomposition_solution,
     derive_tables,
     ext_solution,
     find_isomorphism,
@@ -28,7 +33,7 @@ from pentagon import analysis
 from pentagon.analysis import is_associative
 from pentagon.constructors import Decomposition, SigmaMap
 
-from conftest import small_involutive_panel
+from conftest import identity_with_one_cell_changed, small_involutive_panel
 import oracles
 
 LEFT_ZERO_4 = MultTable(4, tuple((i,) * 4 for i in range(4)))
@@ -276,12 +281,48 @@ def test_find_isomorphism_self_is_identity():
 def test_find_isomorphism_errors(monkeypatch):
     with pytest.raises(ValidationError, match="size"):
         find_isomorphism(identity_solution(2), identity_solution(3))
-    with pytest.raises(ValidationError, match="bound"):
-        find_isomorphism(identity_solution(9), identity_solution(9))
-    big = canonical_solution(3, 1, 1)
-    monkeypatch.setattr(analysis, "MAX_ISO_SEARCH_SIZE", 12)
-    f = find_isomorphism(big, big)
-    assert f is not None
+    # equal signatures, no isomorphism: the search must try every map
+    changed = identity_with_one_cell_changed(12)
+    monkeypatch.setattr(analysis, "_ISO_WORK_BUDGET", 4096)
+    with pytest.raises(BudgetError, match="work bound"):
+        find_isomorphism(identity_solution(12), changed)
+
+
+def test_find_isomorphism_leaves_no_garbage():
+    # the search state is freed when the call returns, without the cyclic gc
+    s = canonical_solution(4, 2, 2)
+    t = relabel(s, list(range(63, -1, -1)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_isomorphism(t, s) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_find_isomorphism_maps_every_shape_to_its_canonical_solution():
+    rng = random.Random(16)
+    shapes = [
+        (x, a, g)
+        for a in range(7)
+        for g in range(7 - a)
+        for x in range(1, (64 >> (a + g)) + 1)
+    ]
+    last_of_size = {}
+    for x, a, g in shapes:
+        sigma = SigmaMap(
+            x, a, tuple(tuple(rng.sample(range(x), x)) for _ in range(1 << a))
+        )
+        twisted = decomposition_solution(Decomposition(x, a, g, sigma))
+        n = twisted.size
+        s = relabel(twisted, rng.sample(range(n), n))
+        target = canonical_solution(x, a, g)
+        f = find_isomorphism(s, target)
+        assert f is not None and is_morphism(f, s, target), (x, a, g)
+        if n in last_of_size:
+            assert find_isomorphism(s, last_of_size[n]) is None, (x, a, g)
+        last_of_size[n] = target
 
 
 def test_find_isomorphism_matches_brute_force(rng):

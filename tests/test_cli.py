@@ -15,7 +15,7 @@ from pentagon import (
     identity_solution,
     irretractable_solution,
 )
-from pentagon.analysis import MAX_ISO_SEARCH_SIZE
+from pentagon import analysis
 from pentagon.cli import (
     DEFAULT_WORD_BUDGET,
     HEADER,
@@ -30,7 +30,11 @@ from pentagon.cli import (
     run,
 )
 
-from conftest import near_solutions, prime_cycles_table
+from conftest import (
+    identity_with_one_cell_changed,
+    near_solutions,
+    prime_cycles_table,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -295,17 +299,26 @@ def test_isomorphic_command(capsys):
     assert run(["isomorphic", "canonical(2,1,0)", "canonical(2,1,0)"]) == 0
     assert run(["isomorphic", "identity(2)", "irretractable(1)"]) == 1
     assert run(["isomorphic", "identity(2)", "identity(3)"]) == 1
-    # above the search bound the invariant comparison still answers
-    assert run(["isomorphic", "canonical(3,1,1)", "canonical(3,1,1)"]) == 0
     capsys.readouterr()
-    # the bound is MAX_ISO_SEARCH_SIZE = 8: size 8 searches, size 9 does not
-    assert MAX_ISO_SEARCH_SIZE == 8
-    assert run(["--json", "isomorphic", "canonical(1,2,1)", "canonical(1,2,1)"]) == 0
-    assert "bijection" in json.loads(capsys.readouterr().out)["results"]
-    assert run(["--json", "isomorphic", "canonical(9,0,0)", "canonical(9,0,0)"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["method"] == "invariant"
-    # the search bound is fixed at 8: there is no --max-size option
+    # every size searches, and a solution maps to itself by the identity
+    for expr, n in (("canonical(1,2,1)", 8), ("canonical(9,0,0)", 9),
+                    ("canonical(3,1,1)", 12)):
+        assert run(["--json", "isomorphic", expr, expr]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {"isomorphic": True, "bijection": list(range(n))}
+    # the search has no size option
     assert run(["isomorphic", "identity(2)", "identity(2)", "--max-size", "3"]) == 2
+
+
+def test_isomorphic_exits_3_when_the_work_bound_runs_out(tmp_path, monkeypatch):
+    paths = {}
+    for n in (8, 12):
+        paths[n] = tmp_path / f"changed{n}.solution"
+        paths[n].write_text(emit_solution(identity_with_one_cell_changed(n)))
+    # size 8 always finishes under the real bound
+    assert run(["isomorphic", "identity(8)", str(paths[8])]) == 1
+    monkeypatch.setattr(analysis, "_ISO_WORK_BUDGET", 4096)
+    assert run(["isomorphic", "identity(12)", str(paths[12])]) == 3
 
 
 def test_enumerate_command(capsys):
@@ -325,8 +338,9 @@ def test_enumerate_refuses_fewer_than_one_worker(capsys):
 
 def test_enumerate_refuses_a_non_finite_budget(capsys):
     # nan and inf would run the whole search unbudgeted and put values
-    # that are not JSON into the report's inputs
-    for budget in ("nan", "inf", "-inf", "Infinity"):
+    # that are not JSON into the report's inputs; a negative budget can
+    # never be met
+    for budget in ("nan", "inf", "-inf", "Infinity", "-5"):
         argv = ["--json", "enumerate", "--size", "6", "--up-to-iso"]
         assert run(argv + [f"--budget-ms={budget}"]) == 2
         captured = capsys.readouterr()

@@ -128,7 +128,7 @@ def test_budget_exceeded_raises_with_workers():
         enumerate_pruned(6, budget_ms=40, workers=2)
 
 
-@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -5.0])
 def test_non_finite_budget_is_refused_before_the_search(monkeypatch, budget):
     def search(*args, **kwargs):
         pytest.fail("the search started")
