@@ -227,74 +227,74 @@ def find_isomorphism(s: SolutionTable, t: SolutionTable) -> Optional[Bijection]:
     """Search for a bijection f with (f x f) s = t (f x f).
 
     Elements are matched by signature (idempotent or not, shape of theta_x)
-    before any search.  Backtracking maps the first unmapped element to each
-    free image in turn; a worklist checks every newly mapped u once against
-    each element mapped up to and including it, as (u, y) and (y, u), and
-    forces the images of both output coordinates.  Raises BudgetError past
-    `_ISO_WORK_BUDGET` pair visits, which no input of size 8 or less reaches.
+    before any search.  Backtracking, with an explicit stack, maps the first
+    unmapped element to each free image in turn; a worklist checks every
+    newly mapped u once against each element mapped up to and including it,
+    as (u, y) and (y, u), and forces the images of both output coordinates.
+    Raises BudgetError past `_ISO_WORK_BUDGET` pair visits, which no input
+    of size 8 or less reaches.
     """
     if s.size != t.size:
         raise ValidationError("size mismatch")
     sig_s, sig_t = _element_signatures(s), _element_signatures(t)
     if sorted(sig_s) != sorted(sig_t):
         return None
-    fwd = [-1] * s.size
-    if not _extend((s.entries, t.entries, sig_s, sig_t, fwd, [-1] * s.size, [], [0])):
-        return None
-    f = Bijection(tuple(fwd))
-    if not is_morphism(f, s, t):
-        raise ValidationError("internal error: candidate map is not a morphism")
-    return f
-
-
-def _extend(state) -> bool:
-    """Complete the partial map from its first unmapped element, or undo
-    what was mapped here and return False.  `state` holds both tables'
-    entries and signatures, the map fwd and its inverse bwd, the mapped
-    elements in mapping order, and the pair visits spent in a 1-list.
-    """
-    _, _, sig_s, sig_t, fwd, bwd, order, _ = state
-    x = next((i for i, v in enumerate(fwd) if v < 0), -1)
-    if x < 0:
-        return True
-    base = len(order)
-    for y, v in enumerate(bwd):
-        if v >= 0 or sig_s[x] != sig_t[y]:
+    n = s.size
+    se, te = s.entries, t.entries
+    fwd, bwd = [-1] * n, [-1] * n
+    order: list[int] = []  # mapped elements in mapping order: the undo trail
+    decisions: list[tuple[int, int, int]] = []  # (x, image, trail length before x)
+    work = 0
+    x = y = base = 0
+    while x < n:
+        if y == n:  # every image of x failed: revisit the previous decision
+            if not decisions:
+                return None
+            x, y, base = decisions.pop()
+        elif bwd[y] >= 0 or sig_s[x] != sig_t[y]:
+            y += 1
             continue
-        fwd[x] = y
-        bwd[y] = x
-        order.append(x)
-        if _close(state, base) and _extend(state):
-            return True
+        else:
+            fwd[x] = y
+            bwd[y] = x
+            order.append(x)
+            i, ok = base, True
+            while ok and i < len(order):
+                u = order[i]
+                fu = fwd[u]
+                i += 1
+                work += i
+                if work > _ISO_WORK_BUDGET:
+                    raise BudgetError("isomorphism search exceeded its work bound")
+                for v in order[:i]:
+                    fv = fwd[v]
+                    (k, l), (k2, l2) = se[u * n + v], te[fu * n + fv]
+                    (p, q), (p2, q2) = se[v * n + u], te[fv * n + fu]
+                    for src, dst in ((k, k2), (l, l2), (p, p2), (q, q2)):
+                        cur = fwd[src]
+                        if cur == dst:
+                            continue
+                        if cur >= 0 or bwd[dst] >= 0 or sig_s[src] != sig_t[dst]:
+                            ok = False
+                            break
+                        fwd[src] = dst
+                        bwd[dst] = src
+                        order.append(src)
+                    if not ok:
+                        break
+            if ok:
+                decisions.append((x, y, base))
+                base = len(order)
+                x = next((u for u in range(x + 1, n) if fwd[u] < 0), n)
+                y = 0
+                continue
+        # undo x -> y and what it forced, then try x's next image
         for u in order[base:]:
             bwd[fwd[u]] = -1
             fwd[u] = -1
         del order[base:]
-    return False
-
-
-def _close(state, i: int) -> bool:
-    """Force the images implied by order[i:], appending them to `order`."""
-    se, te, sig_s, sig_t, fwd, bwd, order, work = state
-    n = len(fwd)
-    while i < len(order):
-        u = order[i]
-        fu = fwd[u]
-        i += 1
-        work[0] += i
-        if work[0] > _ISO_WORK_BUDGET:
-            raise BudgetError("isomorphism search exceeded its work bound")
-        for y in order[:i]:
-            fy = fwd[y]
-            (k, l), (k2, l2) = se[u * n + y], te[fu * n + fy]
-            (p, q), (p2, q2) = se[y * n + u], te[fy * n + fu]
-            for src, dst in ((k, k2), (l, l2), (p, p2), (q, q2)):
-                cur = fwd[src]
-                if cur == dst:
-                    continue
-                if cur >= 0 or bwd[dst] >= 0 or sig_s[src] != sig_t[dst]:
-                    return False
-                fwd[src] = dst
-                bwd[dst] = src
-                order.append(src)
-    return True
+        y += 1
+    f = Bijection(tuple(fwd))
+    if not is_morphism(f, s, t):
+        raise ValidationError("internal error: candidate map is not a morphism")
+    return f

@@ -325,6 +325,18 @@ def test_find_isomorphism_maps_every_shape_to_its_canonical_solution():
         last_of_size[n] = target
 
 
+def test_find_isomorphism_maps_a_relabelled_solution_of_size_1024():
+    # no image of this shape is forced, so the search is 1024 decisions
+    # deep, past Python's default recursion limit
+    rng = random.Random(1024)
+    sigma = SigmaMap(1024, 0, (tuple(rng.sample(range(1024), 1024)),))
+    twisted = decomposition_solution(Decomposition(1024, 0, 0, sigma))
+    s = relabel(twisted, rng.sample(range(1024), 1024))
+    target = canonical_solution(1024, 0, 0)
+    f = find_isomorphism(s, target)
+    assert f is not None and is_morphism(f, s, target)
+
+
 def test_find_isomorphism_matches_brute_force(rng):
     from pentagon import enumerate_pruned
 

@@ -310,6 +310,14 @@ def test_isomorphic_command(capsys):
     assert run(["isomorphic", "identity(2)", "identity(2)", "--max-size", "3"]) == 2
 
 
+def test_isomorphic_answers_the_largest_expression(capsys):
+    # on identity(n) no decision forces another, so the search is n
+    # decisions deep: 1024 is past Python's default recursion limit
+    assert run(["--json", "isomorphic", "identity(1024)", "identity(1024)"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == {"isomorphic": True, "bijection": list(range(1024))}
+
+
 def test_isomorphic_exits_3_when_the_work_bound_runs_out(tmp_path, monkeypatch):
     paths = {}
     for n in (8, 12):
