@@ -206,13 +206,15 @@ def _element_signatures(s: SolutionTable) -> list[tuple]:
     mul, th = derive_tables(s)
     n = s.size
     sigs = []
+    shapes: dict[tuple, tuple] = {}  # a solution has at most |A| theta rows
     for x in range(n):
         row = th[x]
-        if sorted(row) == list(range(n)):
-            shape = ("perm", cycle_type(row))
-        else:
-            shape = ("map", tuple(sorted(row.count(v) for v in set(row))))
-        sigs.append((mul[x][x] == x, shape))
+        if row not in shapes:
+            if sorted(row) == list(range(n)):
+                shapes[row] = ("perm", cycle_type(row))
+            else:
+                shapes[row] = ("map", tuple(sorted(row.count(v) for v in set(row))))
+        sigs.append((mul[x][x] == x, shapes[row]))
     return sigs
 
 

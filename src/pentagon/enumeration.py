@@ -8,8 +8,8 @@ assignment a propagator closes the partial table under the equation:
 the first coordinates form an associative table, so the search keeps a
 layer F of first coordinates known before their cells are, and writes
 the cells the second coordinates force.  The search state is two flat
-lists, F of first and T of second coordinates, and the prefixes handed
-to workers carry that state closed, so each resumes where it stopped.
+lists, F of first and T of second coordinates, copied at each node, and
+each prefix of the split carries that state closed, so it resumes there.
 The search runs on raw tables, so nothing about the classification
 theory is assumed; the theory becomes a checkable output.  The
 row-major search without symmetry breaking and the naive route (every
@@ -70,7 +70,8 @@ class SearchStats:
 # the partial table under that associativity and under the second half,
 # which writes the cells it forces; every fact it writes mentions only
 # elements <= m.  A cell whose F is known is tried only with that first
-# coordinate.  One trail undoes T writes and F writes alike.  The split
+# coordinate.  Each value tried copies its node's two layers, at most
+# 49 cells each, so nothing is undone (Schulte, ICLP 1999).  The split
 # hands each prefix over with its closure (F, T, m), so `_finish`
 # resumes exactly where the split stopped and the node count does not
 # depend on the worker count.
@@ -83,7 +84,7 @@ _CHECK_INTERVAL = 1024
 
 
 class _Deadline:
-    """Absolute point on the monotonic clock; each worker rebuilds it from `at`.
+    """Absolute point on the monotonic clock; each prefix rebuilds it from `at`.
 
     `ticks` counts the calls to `expired`, one per assignment tried.
     """
@@ -111,7 +112,7 @@ def _cell_order(n: int) -> list[int]:
     return sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
 
 
-def _propagate(n: int, F: list[int], T: list[int], trail: list[int]) -> bool:
+def _propagate(n: int, F: list[int], T: list[int]) -> bool:
     """Close a partial table under the pentagon equation; False if it fails.
 
     With s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q)
@@ -120,10 +121,8 @@ def _propagate(n: int, F: list[int], T: list[int], trail: list[int]) -> bool:
     two known ones must agree.  Once the four cells are assigned, an
     unassigned s(b,d) is written as (q,v) and its partner s(q,v) as
     (b,d), provided that F allows both; an assigned one must equal (q,v).
-    Passes over every triple repeat until one writes nothing.  T[w] is
-    logged on the trail as w, F[w] as n*n + w.
+    Passes over every triple repeat until one writes nothing.
     """
-    nn = n * n
     while True:
         wrote = False
         for x in range(n):
@@ -144,10 +143,8 @@ def _propagate(n: int, F: list[int], T: list[int], trail: list[int]) -> bool:
                             return False
                         if c < 0:
                             F[az] = p
-                            trail.append(nn + az)
                         else:
                             F[xu] = c
-                            trail.append(nn + xu)
                         wrote = True
                         continue  # that cell is unassigned
                     if c < 0:
@@ -166,41 +163,34 @@ def _propagate(n: int, F: list[int], T: list[int], trail: list[int]) -> bool:
                         if T[qv] >= 0 or 0 <= F[qv] != b:
                             return False
                         T[qv] = d
-                        trail.append(qv)
-                        if F[qv] < 0:
-                            F[qv] = b
-                            trail.append(nn + qv)
+                        F[qv] = b
                     T[bd] = v
-                    trail.append(bd)
-                    if F[bd] < 0:
-                        F[bd] = q
-                        trail.append(nn + bd)
+                    F[bd] = q
                     wrote = True
         if not wrote:
             return True
 
 
 def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
-            m: int, trail: list[int], deadline: _Deadline, out: list,
-            depth: int = -1) -> None:
+            m: int, deadline: _Deadline, out: list, depth: int = -1) -> None:
     """Append every consistent extension of (F, T) to `out`.
 
     Cells before `pos` in `order` are assigned, m is the largest element
-    they mention, and F and T are closed under `_propagate`.  With a
-    negative depth the search runs to the end and appends each complete
-    table; otherwise it stops at a complete table or after `depth` more
-    decisions and appends the prefix (F, T, m), copied.
+    they mention, and F and T are closed under `_propagate`.  Each value
+    tried writes a copy of the two layers, so a node never changes its
+    parent's.  With a negative depth the search runs to the end and
+    appends each complete table; otherwise it stops at a complete table
+    or after `depth` more decisions and appends the prefix (F, T, m).
     """
     end = len(order)
     while pos < end and T[order[pos]] >= 0:
         pos += 1
     if pos == end or depth == 0:
-        out.append(tuple(zip(F, T)) if depth < 0 else (F[:], T[:], m))
+        out.append(tuple(zip(F, T)) if depth < 0 else (F, T, m))
         return
     p = order[pos]
     i, j = divmod(p, n)
     m = max(m, i, j)
-    nn = n * n
     first = F[p]
     for k in range(min(m + 2, n)) if first < 0 else (first,):
         for l in range(min(max(m, k) + 2, n)):
@@ -209,42 +199,23 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
                 continue
             if deadline.expired():
                 raise BudgetError("enumeration budget exceeded")
-            mark = len(trail)
-            T[p] = l
-            T[q] = j
-            trail.append(p)
-            if q != p:
-                trail.append(q)
-            if first < 0:
-                F[p] = k
-                trail.append(nn + p)
-            if F[q] < 0:
-                F[q] = i
-                trail.append(nn + q)
-            if _propagate(n, F, T, trail):
-                _search(n, F, T, order, pos + 1, max(m, k, l), trail,
-                        deadline, out, depth - 1)
-            while len(trail) > mark:
-                w = trail.pop()
-                if w < nn:
-                    T[w] = -1
-                else:
-                    F[w - nn] = -1
+            F2, T2 = F[:], T[:]
+            F2[p], T2[p] = k, l
+            F2[q], T2[q] = i, j
+            if _propagate(n, F2, T2):
+                _search(n, F2, T2, order, pos + 1, max(m, k, l), deadline,
+                        out, depth - 1)
 
 
-def _finish(n: int, prefix: tuple, deadline: _Deadline, out: list[tuple]):
-    """Every complete table extending a prefix that `_search` emitted."""
+def _finish(task: tuple) -> tuple[list[tuple], int]:
+    """The complete tables extending one prefix that `_search` emitted,
+    and the assignments tried; a task is (n, prefix, deadline_at)."""
+    n, (F, T, m), deadline_at = task
+    deadline = _Deadline(deadline_at)
     if deadline.passed():
         raise BudgetError("enumeration budget exceeded")
-    F, T, m = prefix
-    _search(n, list(F), list(T), _cell_order(n), 0, m, [], deadline, out)
-
-
-def _run_prefix(args) -> tuple[list[tuple], int]:
-    n, prefix, deadline_at = args
-    deadline = _Deadline(deadline_at)
     out: list[tuple] = []
-    _finish(n, prefix, deadline, out)
+    _search(n, F, T, _cell_order(n), 0, m, deadline, out)
     return out, deadline.ticks
 
 
@@ -266,26 +237,22 @@ def _orbits(
         raise ValidationError("budget_ms must be a finite number, 0 or more")
     deadline = _Deadline.after_ms(budget_ms)
     prefixes: list[tuple] = []
-    _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1, [],
+    _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1,
             deadline, prefixes, depth=2)
     # the split tries too few assignments for the sampled check to fire
     if deadline.passed():
         raise BudgetError("enumeration budget exceeded")
-    tables: list[tuple] = []
-    worker_ticks = 0
-    if workers == 1 or len(prefixes) < 2:
-        for prefix in prefixes:
-            _finish(n, prefix, deadline, tables)
+    tasks = [(n, prefix, deadline.at) for prefix in prefixes]
+    if workers == 1 or len(tasks) < 2:
+        results = list(map(_finish, tasks))
     else:
         import multiprocessing
 
-        tasks = [(n, prefix, deadline.at) for prefix in prefixes]
-        with multiprocessing.Pool(min(workers, len(prefixes))) as pool:
-            for chunk, ticks in pool.imap_unordered(_run_prefix, tasks):
-                tables.extend(chunk)
-                worker_ticks += ticks
+        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
+            results = list(pool.imap_unordered(_finish, tasks))
     if stats is not None:
-        stats.nodes = deadline.ticks + worker_ticks
+        stats.nodes = deadline.ticks + sum(ticks for _, ticks in results)
+    tables = [t for chunk, _ in results for t in chunk]
     orbits: list[set[tuple]] = []
     seen: set[tuple] = set()
     for t in tables:

@@ -89,6 +89,8 @@ def _strata(
         raise ValidationError(
             f"length {length} exceeds the cap of {MAX_GROWTH_LENGTH}"
         )
+    if word_budget < 0:
+        raise ValidationError("word budget must be non-negative")
     n = pres.generators
     rels = [(a, b, c, d) for (a, b), (c, d) in pres.relations if (a, b) != (c, d)]
     strata = [array("i", [0])]

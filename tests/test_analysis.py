@@ -7,6 +7,7 @@ from pentagon import (
     Bijection,
     BudgetError,
     MultTable,
+    SolutionTable,
     ValidationError,
     abelian_structure,
     canonical_solution,
@@ -299,6 +300,46 @@ def test_find_isomorphism_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_element_signatures_compute_each_theta_row_shape_once(monkeypatch):
+    # on a solution theta_x depends only on x's A-coordinate, so a shape
+    # is computed once per distinct row; the signatures are unchanged
+    real = analysis.cycle_type
+
+    def per_row(s):
+        mul, th = derive_tables(s)
+        n = s.size
+        sigs = []
+        for x in range(n):
+            row = th[x]
+            if sorted(row) == list(range(n)):
+                shape = ("perm", real(row))
+            else:
+                shape = ("map", tuple(sorted(row.count(v) for v in set(row))))
+            sigs.append((mul[x][x] == x, shape))
+        return sigs
+
+    calls = []
+
+    def spy(row):
+        calls.append(row)
+        return real(row)
+
+    monkeypatch.setattr(analysis, "cycle_type", spy)
+    rng = random.Random(422)
+    base = canonical_solution(4, 2, 2)
+    for _ in range(3):
+        s = relabel(base, rng.sample(range(64), 64))
+        calls.clear()
+        assert analysis._element_signatures(s) == per_row(s)
+        assert len(calls) == 4
+    # not a solution: repeated and distinct rows, bijective or not
+    rows = ((0, 0, 2, 3), (1, 0, 3, 2), (1, 0, 3, 2), (3, 3, 3, 3))
+    odd = SolutionTable(4, tuple((x, y) for x in range(4) for y in rows[x]))
+    calls.clear()
+    assert analysis._element_signatures(odd) == per_row(odd)
+    assert len(calls) == 1
 
 
 def test_find_isomorphism_maps_every_shape_to_its_canonical_solution():

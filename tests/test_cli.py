@@ -405,6 +405,9 @@ def test_growth_budget(capsys):
     # identity(4) has 35 classes at length 4, so 140 nodes at length 5
     code = run(["growth", "identity(4)", "--length", "6", "--word-budget", "100"])
     assert code == 3
+    # a negative budget is an input error; 0 is a budget spent at once
+    assert run(["growth", "identity(2)", "--length", "3", "--word-budget", "-5"]) == 2
+    assert run(["growth", "identity(2)", "--length", "3", "--word-budget", "0"]) == 3
 
 
 def test_growth_length_is_capped_before_any_stratum(capsys):

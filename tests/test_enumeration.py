@@ -214,9 +214,9 @@ def test_prefix_pruning_is_sound():
     # every row-major prefix of a real solution passes the pentagon chase,
     # and every prefix in the search's (max(i, j), i, j) order passes the
     # search's propagation, which never rules out the solution's own value
-    # of the next cell; every first coordinate and every cell it writes is
-    # the solution's own entry, so the search never prunes or forces its
-    # way past a solution
+    # of the next cell; after every step each known first coordinate and
+    # each assigned cell is the solution's own entry, so the search never
+    # prunes or forces its way past a solution
     size_six = size_six_tables()
     assert len(size_six) == 241
     tables = [s for n in range(1, 6) for s in enumerate_pruned(n)]
@@ -231,7 +231,6 @@ def test_prefix_pruning_is_sound():
             cells[k * n + l] = divmod(p, n)
             assert oracles.chase_pentagon(cells, n) is None
         F, T = [-1] * nn, [-1] * nn
-        trail = []
         for p in _cell_order(n):
             if T[p] >= 0:
                 continue  # a partner or a forced cell
@@ -240,9 +239,9 @@ def test_prefix_pruning_is_sound():
             assert F[p] in (-1, k) and F[q] in (-1, p // n)
             F[p], T[p] = k, l
             F[q], T[q] = divmod(p, n)
-            assert _propagate(n, F, T, trail)
-            assert all((F[w], T[w]) == s.entries[w] for w in trail if w < nn)
-            assert all(F[w - nn] == s.entries[w - nn][0] for w in trail if w >= nn)
+            assert _propagate(n, F, T)
+            assert all(f in (-1, e[0]) for f, e in zip(F, s.entries))
+            assert all(t < 0 or (f, t) == e for f, t, e in zip(F, T, s.entries))
         assert tuple(zip(F, T)) == s.entries
 
 
@@ -258,10 +257,10 @@ def test_a_forced_cell_must_agree_with_its_known_first_coordinate(
     # so the node counts do not pin this check
     F, T = split_cells(cells)
     known, forced = list(F), list(T)
-    assert _propagate(3, known, forced, [])
+    assert _propagate(3, known, forced)
     assert forced[w] >= 0 and known[w] != first
     F[w] = first
-    assert not _propagate(3, F, T, [])
+    assert not _propagate(3, F, T)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -270,17 +269,41 @@ def test_split_prefixes_carry_the_closure_of_their_cells(monkeypatch, n):
     # cells alone must reach exactly that closure, or the node count
     # would depend on where a prefix is finished
     prefixes = []
-    monkeypatch.setattr(
-        enumeration, "_finish", lambda n, prefix, *rest: prefixes.append(prefix)
-    )
+
+    def finish(task):
+        prefixes.append(task[1])
+        return [], 0
+
+    monkeypatch.setattr(enumeration, "_finish", finish)
     assert enumerate_pruned(n) == []
     assert len(prefixes) > 1
     for F, T, m in prefixes:
         cells = [None if t < 0 else (f, t) for f, t in zip(F, T)]
         assert m == max(max(c) for c in cells if c is not None)
         known, forced = split_cells(cells)
-        assert _propagate(n, known, forced, [])
+        assert _propagate(n, known, forced)
         assert (known, forced) == (F, T)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_finishing_a_prefix_leaves_its_layers_as_they_were(monkeypatch, n):
+    # the split hands its layers over without copying them, so finishing
+    # a prefix must write only into copies of its own
+    want = enumerate_pruned(n)
+    finish = enumeration._finish
+    tasks = []
+
+    def checked(task):
+        _, (F, T, _), _ = task
+        before = F[:], T[:]
+        result = finish(task)
+        assert (F, T) == before
+        tasks.append(task)
+        return result
+
+    monkeypatch.setattr(enumeration, "_finish", checked)
+    assert enumerate_pruned(n) == want
+    assert len(tasks) > 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -107,6 +107,9 @@ def test_growth_series_budget():
     with pytest.raises(BudgetError):
         growth_series(identity_solution(4), 6, word_budget=100)
     assert growth_series(canonical_solution(3, 1, 1), 2, word_budget=144).counts[2] > 0
+    # a budget no stratum can meet is an input error, not a spent budget
+    with pytest.raises(ValidationError):
+        growth_series(identity_solution(4), 6, word_budget=-5)
 
 
 def test_growth_series_bad_arguments():
@@ -185,6 +188,8 @@ def test_normal_forms_budget():
         normal_forms(canonical_solution(3, 1, 1), 7, word_budget=143)
     with pytest.raises(BudgetError):
         normal_forms(identity_solution(4), 6, word_budget=100)
+    with pytest.raises(ValidationError):
+        normal_forms(identity_solution(4), 6, word_budget=-5)
 
 
 @given(
