@@ -181,15 +181,19 @@ def emit_solution(s: SolutionTable) -> str:
 
 
 def parse_sigma_text(text: str) -> SigmaMap:
-    """One line per a in 0..2^r - 1, each listing the images of 0..m-1."""
+    """One line per a in 0..2^r - 1, each the images of 0..m-1 (m from line 1)."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             raise ParseError("blank line in sigma file", lineno)
         try:
-            rows.append(tuple(int(p) for p in raw.split()))
+            row = tuple(int(p) for p in raw.split())
         except ValueError:
             raise ParseError("expected a list of integers", lineno)
+        m = len(rows[0]) if rows else len(row)
+        if sorted(row) != list(range(m)):
+            raise ParseError(f"not a permutation of 0..{m - 1}", lineno)
+        rows.append(row)
     if not rows:
         raise ParseError("empty sigma file", 1)
     count = len(rows)
@@ -199,10 +203,7 @@ def parse_sigma_text(text: str) -> SigmaMap:
             f"sigma file must have a power-of-two number of lines, got {count}",
             count,
         )
-    try:
-        return SigmaMap(len(rows[0]), a_dim, tuple(rows))
-    except ValidationError as exc:
-        raise ParseError(str(exc), 1)
+    return SigmaMap(len(rows[0]), a_dim, tuple(rows))
 
 
 _EXPR = re.compile(r"([a-z]+)\(([0-9, ]*)\)")
@@ -218,10 +219,14 @@ def _refuse_oversized(what: str, n: int) -> None:
 
 # name -> (constructor, arity, carrier size from the arguments).  Exponents
 # are clipped at 21, already past the cap, so a huge one builds no huge int.
+# Each constructor is looked up by its global name when called, so a
+# rebinding of that name (a tracer's wrapper, say) is seen.
 _CONSTRUCTORS = {
-    "identity": (identity_solution, 1, lambda n: n),
-    "irretractable": (irretractable_solution, 1, lambda r: 1 << min(r, 21)),
-    "canonical": (canonical_solution, 3, lambda x, a, g: x << min(a + g, 21)),
+    "identity": (lambda n: identity_solution(n), 1, lambda n: n),
+    "irretractable":
+        (lambda r: irretractable_solution(r), 1, lambda r: 1 << min(r, 21)),
+    "canonical": (lambda x, a, g: canonical_solution(x, a, g), 3,
+                  lambda x, a, g: x << min(a + g, 21)),
 }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class ValidationError(ValueError):
@@ -50,10 +50,6 @@ class SolutionTable:
                 raise ValidationError(
                     f"s({i},{j})=({k},{l}) is out of range for size {n}"
                 )
-
-    @classmethod
-    def from_function(cls, size: int, fn: Callable[[int, int], tuple[int, int]]):
-        return cls(size, tuple(fn(i, j) for i in range(size) for j in range(size)))
 
     def apply(self, i: int, j: int) -> tuple[int, int]:
         return self.entries[i * self.size + j]
@@ -120,10 +116,6 @@ def derive_tables(s: SolutionTable) -> tuple[Rows, Rows]:
 # permutation helpers (tuples of images)
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """p after q: the map i -> p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(q)))
@@ -134,14 +126,6 @@ def inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
-
-
-def perm_power(p: Sequence[int], k: int) -> tuple[int, ...]:
-    """k-fold composition of p with itself, k >= 0."""
-    out = identity_perm(len(p))
-    for _ in range(k):
-        out = compose_perms(p, out)
-    return out
 
 
 def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
@@ -323,26 +307,20 @@ def is_morphism(f: Sequence[int], s: SolutionTable, t: SolutionTable) -> bool:
 def product_solution(s1: SolutionTable, s2: SolutionTable) -> SolutionTable:
     """Componentwise product on the row-major pairing i1 * n2 + i2."""
     n1, n2 = s1.size, s2.size
-    n = n1 * n2
-
-    def fn(i, j):
-        i1, i2 = divmod(i, n2)
-        j1, j2 = divmod(j, n2)
-        k1, l1 = s1.apply(i1, j1)
-        k2, l2 = s2.apply(i2, j2)
-        return (k1 * n2 + k2, l1 * n2 + l2)
-
-    return SolutionTable.from_function(n, fn)
+    rows1 = [s1.entries[i:i + n1] for i in range(0, n1 * n1, n1)]
+    rows2 = [s2.entries[i:i + n2] for i in range(0, n2 * n2, n2)]
+    return SolutionTable(n1 * n2, tuple(
+        (k1 * n2 + k2, l1 * n2 + l2)
+        for r1 in rows1 for r2 in rows2 for k1, l1 in r1 for k2, l2 in r2
+    ))
 
 
 def flip_conjugate(s: SolutionTable) -> SolutionTable:
     """tau s tau, where tau is the flip (x, y) -> (y, x)."""
-
-    def fn(i, j):
-        k, l = s.apply(j, i)
-        return (l, k)
-
-    return SolutionTable.from_function(s.size, fn)
+    n = s.size
+    return SolutionTable(n, tuple(
+        (l, k) for i in range(n) for k, l in s.entries[i::n]
+    ))
 
 
 def relabel(s: SolutionTable, perm: Sequence[int]) -> SolutionTable:

@@ -40,7 +40,6 @@ class EnumerationReport:
     representatives: tuple[SolutionTable, ...]
     class_triples: tuple[tuple[int, int, int], ...]  # one per representative
     nodes: int  # assignments the search tried, independent of the workers
-    elapsed: float
 
 
 @dataclass
@@ -314,7 +313,6 @@ def count_up_to_iso(
     two classes with the same triple contradict the classification
     theorem and raise ValidationError.
     """
-    started = time.monotonic()
     stats = SearchStats()
     orbits = _orbits(n, budget_ms, workers, stats)
     reps: list[SolutionTable] = []
@@ -336,5 +334,4 @@ def count_up_to_iso(
         representatives=tuple(reps),
         class_triples=tuple(triples),
         nodes=stats.nodes,
-        elapsed=time.monotonic() - started,
     )

@@ -10,9 +10,10 @@ with `chase_pentagon`, a triple-by-triple chase that accepts partial
 tables and is itself checked against `pentagon_failures` in the core
 tests.
 
-`symmetric_group` and `check_simple` are library-style helpers that only
-the tests call: a non-abelian group for the constructor panels, and the
-simplicity of the left groups that solutions carry.
+`symmetric_group`, `check_simple` and `perm_power` are library-style
+helpers that only the tests call: a non-abelian group for the
+constructor panels, the simplicity of the left groups that solutions
+carry, and literal powers of a permutation.
 """
 
 from itertools import permutations
@@ -445,3 +446,21 @@ def check_simple(m: MultTable) -> bool:
         if len(ideal) != n:
             return False
     return True
+
+
+def perm_power(p: Sequence[int], k: int) -> tuple:
+    """k-fold composition of p with itself, k >= 0."""
+    out = tuple(range(len(p)))
+    for _ in range(k):
+        out = compose_perms(p, out)
+    return out
+
+
+def sigma_condition_oracle(sigma: Sequence[int]) -> Optional[int]:
+    """First 1-based label i with sigma^(sigma(i)+1) != sigma^i, or None,
+    comparing the two powers composed out literally."""
+    p = tuple(sigma)
+    for i0 in range(len(p)):
+        if perm_power(p, p[i0] + 2) != perm_power(p, i0 + 1):
+            return i0 + 1
+    return None

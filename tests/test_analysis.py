@@ -75,7 +75,7 @@ def test_retract_rejects_non_involutive():
 def test_retract_rejects_non_solution():
     from pentagon import SolutionTable
 
-    flip = SolutionTable.from_function(2, lambda i, j: (j, i))
+    flip = SolutionTable(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
     with pytest.raises(ValidationError):
         retract(flip)
 

@@ -205,8 +205,16 @@ def test_parse_sigma_file():
     assert sig.a_dim == 1
     with pytest.raises(ParseError):
         parse_sigma_text("0 1\n1 0\n0 1\n")  # not a power of two
-    with pytest.raises(ParseError):
-        parse_sigma_text("0 0\n")
+    # each row must permute 0..m-1, m the first row's length, and an
+    # error names the row that does not
+    for text, line in [
+        ("0 0\n", 1),
+        ("0 1 2\n1 2 0\n2 2 0\n0 1 2\n", 3),
+        ("0 1 2\n1 2\n", 2),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_sigma_text(text)
+        assert err.value.line == line
 
 
 def test_load_solution_expressions():
@@ -237,7 +245,7 @@ def test_verify_reports_pentagon_witness(tmp_path, capsys):
     from pentagon import SolutionTable
 
     flip = tmp_path / "flip.solution"
-    flip.write_text(emit_solution(SolutionTable.from_function(2, lambda i, j: (j, i))))
+    flip.write_text(emit_solution(SolutionTable(2, ((0, 0), (1, 0), (0, 1), (1, 1)))))
     assert run(["verify", "--axioms", "pe", str(flip)]) == 1
     assert "failing triple (0, 1, 0)" in capsys.readouterr().out
 

@@ -1,3 +1,6 @@
+from itertools import permutations as all_perms, product
+from math import factorial
+
 import pytest
 
 from pentagon import (
@@ -16,6 +19,7 @@ from pentagon import (
     direct_product_group,
     endo_solution,
     ext_solution,
+    flip_conjugate,
     group_from_cayley,
     group_solution,
     identity_solution,
@@ -34,7 +38,7 @@ from pentagon.constructors import (
     sigma_condition_witness,
     trivial_sigma,
 )
-from pentagon.core import perm_order, perm_power
+from pentagon.core import perm_order
 
 import oracles
 
@@ -215,14 +219,14 @@ def test_decomposition_solution_general_form():
 
 
 def test_decomposition_solution_matches_the_formula(rng):
-    # every shape with |S| <= 16 and |G| <= 4, under a random sigma each,
+    # every shape with |S| <= 64 and |G| <= 8, under a random sigma each,
     # against the theorem's formula written out in oracles
     shapes = [
         (x, a, g)
-        for x in range(1, 17)
-        for a in range(5)
-        for g in range(3)
-        if x << (a + g) <= 16
+        for x in range(1, 65)
+        for a in range(7)
+        for g in range(4)
+        if x << (a + g) <= 64
     ]
     for x, a, g in shapes:
         perms = []
@@ -270,6 +274,91 @@ def test_construct_then_verify_all_shapes_up_to_16(rng):
         s = ext_solution(Decomposition(x, a, 0, SigmaMap(x, a, tuple(perms))))
         assert check_pentagon(s)
         assert check_involutive(s)
+
+
+def _table(n, fn):
+    """The table with s(i, j) = fn(i, j), one call per cell."""
+    return SolutionTable(n, tuple(fn(i, j) for i in range(n) for j in range(n)))
+
+
+def _idempotents(n):
+    return [
+        f
+        for f in product(range(n), repeat=n)
+        if all(f[f[x]] == f[x] for x in range(n))
+    ]
+
+
+def _endo_panel():
+    """(semigroup, idempotent endomorphism) pairs on groups, left- and
+    right-zero semigroups and a non-monoid, up to 4 elements."""
+    rows = [
+        derive_tables(group_solution(g))[0]
+        for g in (cyclic_group(1), cyclic_group(2), cyclic_group(3),
+                  cyclic_group(4), xor_group(2))
+    ]
+    rows += [
+        tuple(tuple(range(n)) for _ in range(n)) for n in (2, 3)  # right zero
+    ]
+    rows += [tuple((x,) * n for x in range(n)) for n in (2, 3)]  # left zero
+    rows.append(((0, 0, 0), (0, 0, 0), (0, 0, 2)))
+    panel = []
+    for r in rows:
+        n = len(r)
+        for f in _idempotents(n):
+            if all(f[r[x][y]] == r[f[x]][f[y]] for x in range(n) for y in range(n)):
+                panel.append((MultTable(n, r), f))
+    return panel
+
+
+def test_every_family_matches_its_formula_cell_by_cell(rng):
+    # each builder against its defining formula evaluated one cell at a time
+    for n in range(1, 10):
+        assert identity_solution(n) == _table(n, lambda i, j: (i, j))
+    for r in range(5):
+        assert irretractable_solution(r) == _table(1 << r, lambda x, y: (x, x ^ y))
+    groups = [oracles.symmetric_group(3)]
+    groups += [cyclic_group(n) for n in range(1, 7)]
+    groups += [xor_group(r) for r in range(4)]
+    for g in groups:
+        assert group_solution(g) == _table(g.size, lambda x, y: (g.cayley[x][y], y))
+    for m, f in _endo_panel():
+        want = _table(m.size, lambda x, y: (m.rows[x][y], f[y]))
+        assert endo_solution(m, f) == want
+    for n in (1, 2, 3):
+        idempotents = _idempotents(n)
+        for f in idempotents:
+            for g in idempotents:
+                if all(f[g[x]] == g[f[x]] for x in range(n)):
+                    want = _table(n, lambda x, y: (f[x], g[y]))
+                    assert idempotent_pair_solution(n, f, g) == want
+    for n in range(1, 7):
+        for sigma in sigma_search(n):
+            powers = [oracles.perm_power(sigma, i + 1) for i in range(n)]
+            for g in (trivial_group(), cyclic_group(2), xor_group(1)):
+                ng = g.size
+
+                def cell(i, j):
+                    i0, a = divmod(i, ng)
+                    j0, b = divmod(j, ng)
+                    return (i0 * ng + g.cayley[a][b], powers[i0][j0] * ng + b)
+
+                assert cycle_solution(sigma, g) == _table(n * ng, cell)
+    for _ in range(60):
+        s1 = oracles.random_table(rng.randint(1, 5), rng)
+        s2 = oracles.random_table(rng.randint(1, 5), rng)
+        n2 = s2.size
+
+        def cell(i, j):
+            i1, i2 = divmod(i, n2)
+            j1, j2 = divmod(j, n2)
+            k1, l1 = s1.apply(i1, j1)
+            k2, l2 = s2.apply(i2, j2)
+            return (k1 * n2 + k2, l1 * n2 + l2)
+
+        assert product_solution(s1, s2) == _table(s1.size * n2, cell)
+        flipped = _table(s1.size, lambda i, j: s1.apply(j, i)[::-1])
+        assert flip_conjugate(s1) == flipped
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +442,9 @@ def test_cycle_solution_rejects_bad_sigma():
         cycle_solution((1, 2, 3, 0), cyclic_group(2))
     with pytest.raises(ValidationError, match="permutation"):
         cycle_solution((0, 0, 1, 2), cyclic_group(2))
+    for bad in [(0, 0), (1, 2), (0, 1, 1)]:
+        with pytest.raises(ValidationError, match="not a permutation"):
+            sigma_condition_witness(bad)
 
 
 def test_cycle_order_formula():
@@ -376,7 +468,7 @@ def test_cycle_rpe_iff_involution_and_exponent_two():
     # being trivial is sufficient but not necessary
     for n in (1, 2, 3, 4, 5):
         for sigma in sigma_search(n):
-            sigma_involutive = perm_power(sigma, 2) == tuple(range(n))
+            sigma_involutive = oracles.perm_power(sigma, 2) == tuple(range(n))
             for g in (trivial_group(), cyclic_group(2), cyclic_group(4)):
                 s = cycle_solution(sigma, g)
                 expected = sigma_involutive and g.exponent <= 2
@@ -408,8 +500,6 @@ def test_sigma_search_lex_order():
 def test_sigma_condition_members_give_pe_and_rest_fail(rng):
     # members validated by the constructor; non-members must break the
     # pentagon when forced into the same formula with a trivial group
-    from itertools import permutations as all_perms
-
     for n in (3, 4):
         good = set(sigma_search(n))
         for sigma in good:
@@ -417,12 +507,38 @@ def test_sigma_condition_members_give_pe_and_rest_fail(rng):
         bad = [p for p in all_perms(range(n)) if p not in good]
         rng.shuffle(bad)
         for sigma in bad[:6]:
-            powers = [perm_power(sigma, i + 1) for i in range(n)]
-            table = SolutionTable.from_function(
-                n, lambda i, j, powers=powers: (i, powers[i][j])
+            powers = [oracles.perm_power(sigma, i + 1) for i in range(n)]
+            table = SolutionTable(
+                n, tuple((i, powers[i][j]) for i in range(n) for j in range(n))
             )
             assert sigma_condition_witness(sigma) is not None
             assert not check_pentagon(table)
+
+
+def test_sigma_condition_witness_matches_the_literal_powers(rng):
+    # the congruence against sigma^(sigma(i)+1) and sigma^i composed out
+    checked = 0
+    for n in range(1, 8):
+        for sigma in all_perms(range(n)):
+            assert sigma_condition_witness(sigma) == oracles.sigma_condition_oracle(sigma)
+            checked += 1
+    assert checked == 5913
+    for n in range(9, 13):
+        for _ in range(200):
+            sigma = tuple(rng.sample(range(n), n))
+            assert sigma_condition_witness(sigma) == oracles.sigma_condition_oracle(sigma)
+
+
+def test_sigma_search_counts():
+    # with d the order of sigma, sigma maps each residue class mod d onto
+    # the previous one, so d divides n and d - 1 of those bijections
+    # between classes of n/d labels are free: 1 + sum over d | n, d >= 2,
+    # of ((n/d)!)^(d-1)
+    for n in range(1, 9):
+        want = 1 + sum(
+            factorial(n // d) ** (d - 1) for d in range(2, n + 1) if n % d == 0
+        )
+        assert len(sigma_search(n)) == want
 
 
 def test_trivial_sigma_shape():

@@ -281,7 +281,7 @@ def test_growth_defined_beyond_involutive_solutions():
     # the presentation exists for any table; only rank needs the hypotheses
     from pentagon import SolutionTable
 
-    flip = SolutionTable.from_function(2, lambda i, j: (j, i))
+    flip = SolutionTable(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
     for s in (flip, group_solution(cyclic_group(4))):
         counts = growth_series(s, 5).counts
         assert counts == oracles.growth_oracle(s, 5)

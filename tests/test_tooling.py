@@ -72,3 +72,21 @@ def test_readme_command_examples_run(tmp_path, monkeypatch):
     (tmp_path / "sigma.txt").write_text("0 1\n1 0\n")
     for line in commands:
         assert run(shlex.split(line)[1:]) == 0, line
+
+
+def test_expression_builders_are_reached_by_name(monkeypatch):
+    # the tracer rebinds module attributes, so `load_solution` must look
+    # each builder up when it runs, not hold the object from import time
+    calls = []
+    for name in ("canonical_solution", "identity_solution", "irretractable_solution"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    cli.load_solution("canonical(2,1,0)")
+    cli.load_solution("identity(3)")
+    cli.load_solution("irretractable(2)")
+    assert sorted(calls) == [
+        "canonical_solution", "identity_solution", "irretractable_solution"
+    ]
