@@ -63,7 +63,6 @@ from .analysis import (
 )
 from .enumeration import (
     EnumerationReport,
-    SearchStats,
     canonical_form,
     count_up_to_iso,
     enumerate_pruned,

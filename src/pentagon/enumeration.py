@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, isfinite
+from math import comb, inf, isfinite
 
 from .core import (
     BudgetError,
@@ -40,13 +40,6 @@ class EnumerationReport:
     representatives: tuple[SolutionTable, ...]
     class_triples: tuple[tuple[int, int, int], ...]  # one per representative
     nodes: int  # assignments the search tried, independent of the workers
-
-
-@dataclass
-class SearchStats:
-    """Deterministic counters of one search, whatever the worker count."""
-
-    nodes: int = 0  # assignments tried, the split included
 
 
 # ---------------------------------------------------------------------------
@@ -73,37 +66,8 @@ class SearchStats:
 # 49 cells each, so nothing is undone (Schulte, ICLP 1999).  The split
 # hands each prefix over with its closure (F, T, m), so `_finish`
 # resumes exactly where the split stopped and the node count does not
-# depend on the worker count.
-#
-# The deadline reads the clock once every _CHECK_INTERVAL assignments
-# and once before each prefix is finished: a propagated prefix tries far
-# fewer than that many.
-
-_CHECK_INTERVAL = 1024
-
-
-class _Deadline:
-    """Absolute point on the monotonic clock; each prefix rebuilds it from `at`.
-
-    `ticks` counts the calls to `expired`, one per assignment tried.
-    """
-
-    def __init__(self, at: float | None):
-        self.at = at
-        self.ticks = 0
-
-    @classmethod
-    def after_ms(cls, budget_ms) -> "_Deadline":
-        if budget_ms is None:
-            return cls(None)
-        return cls(time.monotonic() + budget_ms / 1000.0)
-
-    def passed(self) -> bool:
-        return self.at is not None and time.monotonic() > self.at
-
-    def expired(self) -> bool:
-        self.ticks += 1
-        return not self.ticks % _CHECK_INTERVAL and self.passed()
+# depend on the worker count.  The deadline `at` is a point on the
+# monotonic clock (inf without a budget), read before every assignment.
 
 
 def _cell_order(n: int) -> list[int]:
@@ -171,8 +135,9 @@ def _propagate(n: int, F: list[int], T: list[int]) -> bool:
 
 
 def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
-            m: int, deadline: _Deadline, out: list, depth: int = -1) -> None:
-    """Append every consistent extension of (F, T) to `out`.
+            m: int, at: float, out: list, depth: int = -1) -> int:
+    """Append every consistent extension of (F, T) to `out`; return the
+    assignments tried, its own and its children's.
 
     Cells before `pos` in `order` are assigned, m is the largest element
     they mention, and F and T are closed under `_propagate`.  Each value
@@ -180,42 +145,42 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
     parent's.  With a negative depth the search runs to the end and
     appends each complete table; otherwise it stops at a complete table
     or after `depth` more decisions and appends the prefix (F, T, m).
+    Raises BudgetError at the first assignment after the deadline `at`.
     """
     end = len(order)
     while pos < end and T[order[pos]] >= 0:
         pos += 1
     if pos == end or depth == 0:
         out.append(tuple(zip(F, T)) if depth < 0 else (F, T, m))
-        return
+        return 0
     p = order[pos]
     i, j = divmod(p, n)
     m = max(m, i, j)
     first = F[p]
+    nodes = 0
     for k in range(min(m + 2, n)) if first < 0 else (first,):
         for l in range(min(max(m, k) + 2, n)):
             q = k * n + l
             if q != p and T[q] >= 0 or 0 <= F[q] != i:
                 continue
-            if deadline.expired():
+            if time.monotonic() > at:
                 raise BudgetError("enumeration budget exceeded")
+            nodes += 1
             F2, T2 = F[:], T[:]
             F2[p], T2[p] = k, l
             F2[q], T2[q] = i, j
             if _propagate(n, F2, T2):
-                _search(n, F2, T2, order, pos + 1, max(m, k, l), deadline,
-                        out, depth - 1)
+                nodes += _search(n, F2, T2, order, pos + 1, max(m, k, l), at,
+                                 out, depth - 1)
+    return nodes
 
 
 def _finish(task: tuple) -> tuple[list[tuple], int]:
     """The complete tables extending one prefix that `_search` emitted,
-    and the assignments tried; a task is (n, prefix, deadline_at)."""
-    n, (F, T, m), deadline_at = task
-    deadline = _Deadline(deadline_at)
-    if deadline.passed():
-        raise BudgetError("enumeration budget exceeded")
+    and the assignments tried; a task is (n, prefix, at)."""
+    n, (F, T, m), at = task
     out: list[tuple] = []
-    _search(n, F, T, _cell_order(n), 0, m, deadline, out)
-    return out, deadline.ticks
+    return out, _search(n, F, T, _cell_order(n), 0, m, at, out)
 
 
 def _orbit(n: int, cells: tuple) -> set[tuple]:
@@ -224,24 +189,22 @@ def _orbit(n: int, cells: tuple) -> set[tuple]:
 
 
 def _orbits(
-    n: int, budget_ms: float | None, workers: int, stats: SearchStats | None
-) -> list[set[tuple]]:
+    n: int, budget_ms: float | None, workers: int
+) -> tuple[list[set[tuple]], int]:
     """The Sym(n)-orbits of the tables the search finds, one per class,
-    each expanded once; `enumerate_pruned` describes the search."""
+    each expanded once, and the assignments the search tried;
+    `enumerate_pruned` describes the search."""
     if not 1 <= n <= 7:
         raise ValidationError("pruned enumeration is limited to sizes 1..7")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     if budget_ms is not None and not (isfinite(budget_ms) and budget_ms >= 0):
         raise ValidationError("budget_ms must be a finite number, 0 or more")
-    deadline = _Deadline.after_ms(budget_ms)
+    at = inf if budget_ms is None else time.monotonic() + budget_ms / 1000
     prefixes: list[tuple] = []
-    _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1,
-            deadline, prefixes, depth=2)
-    # the split tries too few assignments for the sampled check to fire
-    if deadline.passed():
-        raise BudgetError("enumeration budget exceeded")
-    tasks = [(n, prefix, deadline.at) for prefix in prefixes]
+    nodes = _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1,
+                    at, prefixes, depth=2)
+    tasks = [(n, prefix, at) for prefix in prefixes]
     if workers == 1 or len(tasks) < 2:
         results = list(map(_finish, tasks))
     else:
@@ -249,35 +212,33 @@ def _orbits(
 
         with multiprocessing.Pool(min(workers, len(tasks))) as pool:
             results = list(pool.imap_unordered(_finish, tasks))
-    if stats is not None:
-        stats.nodes = deadline.ticks + sum(ticks for _, ticks in results)
+    nodes += sum(tried for _, tried in results)
     tables = [t for chunk, _ in results for t in chunk]
     orbits: list[set[tuple]] = []
     seen: set[tuple] = set()
     for t in tables:
         if t not in seen:  # otherwise its whole orbit is in already
+            if time.monotonic() > at:
+                raise BudgetError("enumeration budget exceeded")
             orbits.append(_orbit(n, t))
             seen |= orbits[-1]
-    return orbits
+    return orbits, nodes
 
 
 def enumerate_pruned(
-    n: int,
-    budget_ms: float | None = None,
-    workers: int = 1,
-    stats: SearchStats | None = None,
+    n: int, budget_ms: float | None = None, workers: int = 1
 ) -> list[SolutionTable]:
     """Every involutive solution of size n, sorted; sizes 1..7.
 
     The symmetry-broken search finds at least one table of every
     isomorphism class; their orbits under Sym(n) give every table.  The
     search splits into prefixes after two decisions, then finishes each
-    one, in this process or on `workers` processes.  Raises BudgetError
-    instead of silently truncating when the time budget runs out,
-    splitting included.  The output, and the node count left in `stats`,
-    are independent of the worker count.
+    one, in this process or on `workers` processes.  The clock is read
+    before every assignment and before each orbit is expanded; raises
+    BudgetError instead of silently truncating when the time budget runs
+    out.  The output is independent of the worker count.
     """
-    orbits = _orbits(n, budget_ms, workers, stats)
+    orbits, _ = _orbits(n, budget_ms, workers)
     # (k, l) pairs sort like their codes k*n + l
     return [SolutionTable(n, t) for t in sorted(set().union(*orbits))]
 
@@ -313,8 +274,7 @@ def count_up_to_iso(
     two classes with the same triple contradict the classification
     theorem and raise ValidationError.
     """
-    stats = SearchStats()
-    orbits = _orbits(n, budget_ms, workers, stats)
+    orbits, nodes = _orbits(n, budget_ms, workers)
     reps: list[SolutionTable] = []
     triples: list[tuple[int, int, int]] = []
     for least in sorted(map(min, orbits)):
@@ -333,5 +293,5 @@ def count_up_to_iso(
         class_count=len(reps),
         representatives=tuple(reps),
         class_triples=tuple(triples),
-        nodes=stats.nodes,
+        nodes=nodes,
     )

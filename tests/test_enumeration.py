@@ -23,7 +23,7 @@ from pentagon import (
 )
 from pentagon import enumeration
 from pentagon.cli import run
-from pentagon.enumeration import SearchStats, _cell_order, _propagate
+from pentagon.enumeration import _cell_order, _propagate
 
 import oracles
 
@@ -140,25 +140,61 @@ def test_non_finite_budget_is_refused_before_the_search(monkeypatch, budget):
         count_up_to_iso(4, budget_ms=budget, workers=2)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_budget_is_checked_before_each_prefix(monkeypatch, workers):
-    # a deadline that passes after the split: the clock reads an hour early
-    # for setting the deadline and for the check after the split, and the
-    # true time afterwards, in every process.  With the sampled check out
-    # of reach (a size-5 prefix tries fewer assignments than one interval
-    # anyway), only the check before each prefix can notice it
+def early_then_late(early_reads):
+    """A monotonic clock an hour early for its first `early_reads` reads
+    in this process, true afterwards (so at once in a fresh worker)."""
     real = time.monotonic
     reads = 0
 
     def monotonic():
         nonlocal reads
         reads += 1
-        return real() - 3600 if reads <= 2 else real()
+        return real() - 3600 if reads <= early_reads else real()
 
-    monkeypatch.setattr(enumeration, "time", SimpleNamespace(monotonic=monotonic))
-    monkeypatch.setattr(enumeration, "_CHECK_INTERVAL", 10**9)
+    return SimpleNamespace(monotonic=monotonic)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_is_checked_inside_each_prefix(monkeypatch, workers):
+    # a deadline that passes after the split: the clock stays early for
+    # setting the deadline and for the 52 assignments of the size-5 split,
+    # so the first late read falls inside a prefix, in every process
+    monkeypatch.setattr(enumeration, "time", early_then_late(1 + 52))
     with pytest.raises(BudgetError):
         enumerate_pruned(5, budget_ms=1000, workers=workers)
+
+
+def test_search_stops_at_the_first_assignment_after_the_deadline(monkeypatch):
+    # the clock is read before every assignment, so a deadline that passes
+    # after 200 of them stops the size-6 search (9,726 assignments) there
+    calls = 0
+    real_propagate = enumeration._propagate
+
+    def propagate(*args):
+        nonlocal calls
+        calls += 1
+        return real_propagate(*args)
+
+    monkeypatch.setattr(enumeration, "_propagate", propagate)
+    monkeypatch.setattr(enumeration, "time", early_then_late(1 + 200))
+    with pytest.raises(BudgetError):
+        enumerate_pruned(6, budget_ms=1000)
+    assert calls <= 200
+
+
+def test_budget_covers_the_orbit_expansion(monkeypatch):
+    # a deadline that passes while the orbits are expanded, after the
+    # search's last clock read, must still raise rather than report
+    real_orbit = enumeration._orbit
+    late = SimpleNamespace(monotonic=lambda: time.monotonic() + 3600)
+
+    def late_orbit(n, cells):
+        monkeypatch.setattr(enumeration, "time", late)
+        return real_orbit(n, cells)
+
+    monkeypatch.setattr(enumeration, "_orbit", late_orbit)
+    with pytest.raises(BudgetError):
+        count_up_to_iso(6, budget_ms=60000)
 
 
 def test_pool_is_no_larger_than_the_prefix_count(monkeypatch):
@@ -190,9 +226,8 @@ def test_pool_is_no_larger_than_the_prefix_count(monkeypatch):
 
 
 def test_budget_covers_prefix_split(monkeypatch):
-    # the size-6 split makes fewer deadline calls than one check interval,
-    # so the deadline is also checked once between the split and the
-    # workers: a spent budget must stop the search before any worker starts
+    # the split reads the clock before each of its assignments: a spent
+    # budget must stop the search before any worker starts
     import multiprocessing
 
     def no_pool(*args, **kwargs):
@@ -392,9 +427,7 @@ def test_search_nodes_at_size_five(capsys):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_search_nodes_at_size_six(workers):
     # 957,188 with forced cells alone
-    stats = SearchStats()
-    enumerate_pruned(6, workers=workers, stats=stats)
-    assert stats.nodes == 9726
+    assert count_up_to_iso(6, workers=workers).nodes == 9726
 
 
 @pytest.mark.parametrize("workers", [1, 2])

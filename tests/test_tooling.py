@@ -2,6 +2,7 @@
 package functions, and `python -m pentagon` runs the CLI."""
 
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import shlex
 import subprocess
 import sys
 
-from pentagon import SolutionTable, canonical_solution, cli
+from pentagon import SolutionTable, canonical_solution, cli, enumeration
 from pentagon.cli import run
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -28,6 +29,17 @@ def test_every_traced_function_resolves():
 def test_every_traced_module_imports():
     for suffix in SPANS["PACKAGE_MODULES"]:
         importlib.import_module("pentagon" + suffix)
+
+
+def test_tracer_reads_workers_by_position_and_by_keyword():
+    # the tracer reads `workers` of enumerate_pruned(n, budget_ms, workers)
+    # at index 2, so that parameter must keep its position
+    params = inspect.signature(enumeration.enumerate_pruned).parameters
+    assert list(params)[2] == "workers"
+    facts = SPANS["_facts"]
+    name = "enumeration.enumerate_pruned"
+    assert facts(name, (4, None, 2), {}, [])["workers"] == 2
+    assert facts(name, (4,), {"workers": 2}, [])["workers"] == 2
 
 
 def test_module_entry_point_runs_the_worker_pool(capsys):
