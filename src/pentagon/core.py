@@ -105,8 +105,10 @@ def derive_tables(s: SolutionTable) -> tuple[Rows, Rows]:
     theta_x(y)``, unchecked, since `SolutionTable` checked every entry.  A
     theta row need not be bijective; that is checked where it matters.
     """
-    n = s.size
-    firsts, seconds = zip(*s.entries)
+    n, e = s.size, s.entries
+    # not zip(*e): its n * n live tuple iterators wake the garbage collector
+    firsts = tuple([k for k, _ in e])
+    seconds = tuple([l for _, l in e])
     mul = tuple(firsts[i:i + n] for i in range(0, n * n, n))
     theta = tuple(seconds[i:i + n] for i in range(0, n * n, n))
     return mul, theta

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, inf, isfinite
+from math import comb, inf, isfinite, isqrt
 
 from .core import (
     BudgetError,
@@ -61,13 +61,18 @@ class EnumerationReport:
 # one side from the other.  After every assignment `_propagate` closes
 # the partial table under that associativity and under the second half,
 # which writes the cells it forces; every fact it writes mentions only
-# elements <= m.  A cell whose F is known is tried only with that first
-# coordinate.  Each value tried copies its node's two layers, at most
-# 49 cells each, so nothing is undone (Schulte, ICLP 1999).  The split
-# hands each prefix over with its closure (F, T, m), so `_finish`
-# resumes exactly where the split stopped and the node count does not
-# depend on the worker count.  The deadline `at` is a point on the
-# monotonic clock (inf without a budget), read before every assignment.
+# elements <= m.  Its scan starts at the row of the assigned cell, where
+# most contradictions show, and stops once a full cycle of rows has
+# written nothing; since the closure does not depend on the order of
+# the scan, neither does the search tree.  A cell whose F is known is
+# tried only with that first coordinate.  Each value tried copies its
+# node's two layers, at most 49 cells each, so nothing is undone
+# (Schulte, ICLP 1999).  The cell order is sorted once per search, and
+# the split hands it to each prefix with the prefix's closure (F, T, m),
+# so `_finish` resumes exactly where the split stopped and the node
+# count does not depend on the worker count.  The deadline `at` is a
+# point on the monotonic clock (inf without a budget), read before
+# every assignment.
 
 
 def _cell_order(n: int) -> list[int]:
@@ -75,7 +80,7 @@ def _cell_order(n: int) -> list[int]:
     return sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
 
 
-def _propagate(n: int, F: list[int], T: list[int]) -> bool:
+def _propagate(n: int, F: list[int], T: list[int], x: int = 0) -> bool:
     """Close a partial table under the pentagon equation; False if it fails.
 
     With s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q)
@@ -84,54 +89,60 @@ def _propagate(n: int, F: list[int], T: list[int]) -> bool:
     two known ones must agree.  Once the four cells are assigned, an
     unassigned s(b,d) is written as (q,v) and its partner s(q,v) as
     (b,d), provided that F allows both; an assigned one must equal (q,v).
-    Passes over every triple repeat until one writes nothing.
+
+    The scan visits the rows x of the triples cyclically, from row `x`
+    (the search passes the row of the cell it just assigned), and stops
+    once n rows in a row have written nothing: then every triple has
+    been read in the final state.  Each rule only adds facts, and a
+    failure is two values for one fact, so the closure, and whether it
+    fails, do not depend on where the scan starts.
     """
-    while True:
-        wrote = False
-        for x in range(n):
-            xn = x * n
-            for y in range(n):
-                a = F[xn + y]
-                if a < 0:
+    clean = 0
+    while clean < n:
+        clean += 1
+        xn = x * n
+        for y in range(n):
+            a = F[xn + y]
+            if a < 0:
+                continue
+            an, yn = a * n, y * n
+            for z in range(n):
+                u = F[yn + z]
+                if u < 0:
                     continue
-                an, yn = a * n, y * n
-                for z in range(n):
-                    u = F[yn + z]
-                    if u < 0:
-                        continue
-                    az, xu = an + z, xn + u
-                    c, p = F[az], F[xu]
-                    if c != p:
-                        if c >= 0 and p >= 0:
-                            return False
-                        if c < 0:
-                            F[az] = p
-                        else:
-                            F[xu] = c
-                        wrote = True
-                        continue  # that cell is unassigned
-                    if c < 0:
-                        continue
-                    b, v, d, q = T[xn + y], T[yn + z], T[az], T[xu]
-                    if b < 0 or v < 0 or d < 0 or q < 0:
-                        continue
-                    bd, qv = b * n + d, q * n + v
-                    if T[bd] >= 0:
-                        if T[bd] != v or F[bd] != q:
-                            return False
-                        continue
-                    if 0 <= F[bd] != q:
+                az, xu = an + z, xn + u
+                c, p = F[az], F[xu]
+                if c != p:
+                    if c >= 0 and p >= 0:
                         return False
-                    if qv != bd:
-                        if T[qv] >= 0 or 0 <= F[qv] != b:
-                            return False
-                        T[qv] = d
-                        F[qv] = b
-                    T[bd] = v
-                    F[bd] = q
-                    wrote = True
-        if not wrote:
-            return True
+                    if c < 0:
+                        F[az] = p
+                    else:
+                        F[xu] = c
+                    clean = 0
+                    continue  # that cell is unassigned
+                if c < 0:
+                    continue
+                b, v, d, q = T[xn + y], T[yn + z], T[az], T[xu]
+                if b < 0 or v < 0 or d < 0 or q < 0:
+                    continue
+                bd, qv = b * n + d, q * n + v
+                if T[bd] >= 0:
+                    if T[bd] != v or F[bd] != q:
+                        return False
+                    continue
+                if 0 <= F[bd] != q:
+                    return False
+                if qv != bd:
+                    if T[qv] >= 0 or 0 <= F[qv] != b:
+                        return False
+                    T[qv] = d
+                    F[qv] = b
+                T[bd] = v
+                F[bd] = q
+                clean = 0
+        x = (x + 1) % n
+    return True
 
 
 def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
@@ -169,7 +180,7 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
             F2, T2 = F[:], T[:]
             F2[p], T2[p] = k, l
             F2[q], T2[q] = i, j
-            if _propagate(n, F2, T2):
+            if _propagate(n, F2, T2, i):
                 nodes += _search(n, F2, T2, order, pos + 1, max(m, k, l), at,
                                  out, depth - 1)
     return nodes
@@ -177,10 +188,11 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
 
 def _finish(task: tuple) -> tuple[list[tuple], int]:
     """The complete tables extending one prefix that `_search` emitted,
-    and the assignments tried; a task is (n, prefix, at)."""
-    n, (F, T, m), at = task
+    and the assignments tried; a task is (order, prefix, at), with the
+    search's cell order on n * n cells."""
+    order, (F, T, m), at = task
     out: list[tuple] = []
-    return out, _search(n, F, T, _cell_order(n), 0, m, at, out)
+    return out, _search(isqrt(len(order)), F, T, order, 0, m, at, out)
 
 
 def _orbit(n: int, cells: tuple) -> set[tuple]:
@@ -201,10 +213,11 @@ def _orbits(
     if budget_ms is not None and not (isfinite(budget_ms) and budget_ms >= 0):
         raise ValidationError("budget_ms must be a finite number, 0 or more")
     at = inf if budget_ms is None else time.monotonic() + budget_ms / 1000
+    order = _cell_order(n)
     prefixes: list[tuple] = []
-    nodes = _search(n, [-1] * (n * n), [-1] * (n * n), _cell_order(n), 0, -1,
-                    at, prefixes, depth=2)
-    tasks = [(n, prefix, at) for prefix in prefixes]
+    nodes = _search(n, [-1] * (n * n), [-1] * (n * n), order, 0, -1, at,
+                    prefixes, depth=2)
+    tasks = [(order, prefix, at) for prefix in prefixes]
     if workers == 1 or len(tasks) < 2:
         results = list(map(_finish, tasks))
     else:

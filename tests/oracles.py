@@ -8,7 +8,8 @@ internals.  Slow and obviously correct is the point.  One exception:
 set.  `row_major_tables`, the search without symmetry breaking, prunes
 with `chase_pentagon`, a triple-by-triple chase that accepts partial
 tables and is itself checked against `pentagon_failures` in the core
-tests.
+tests.  `propagate_full_passes` is the search's closure as full passes
+over every triple, the reference for its cyclic scan.
 
 `symmetric_group`, `check_simple` and `perm_power` are library-style
 helpers that only the tests call: a non-abelian group for the
@@ -361,6 +362,60 @@ def chase_pentagon(
                 if e != q or f != v:
                     return (x, y, z)
     return None
+
+
+def propagate_full_passes(n: int, F: list, T: list) -> bool:
+    """The search's closure (`enumeration._propagate`) by full passes:
+    every triple (x, y, z) in row-major order, pass after pass, until a
+    pass writes nothing; False at the first contradiction.  F and T are
+    the flat first- and second-coordinate layers, -1 where unknown, and
+    are closed in place.  The same rules, fired in another order."""
+    while True:
+        wrote = False
+        for x in range(n):
+            xn = x * n
+            for y in range(n):
+                a = F[xn + y]
+                if a < 0:
+                    continue
+                an, yn = a * n, y * n
+                for z in range(n):
+                    u = F[yn + z]
+                    if u < 0:
+                        continue
+                    az, xu = an + z, xn + u
+                    c, p = F[az], F[xu]
+                    if c != p:
+                        if c >= 0 and p >= 0:
+                            return False
+                        if c < 0:
+                            F[az] = p
+                        else:
+                            F[xu] = c
+                        wrote = True
+                        continue  # that cell is unassigned
+                    if c < 0:
+                        continue
+                    b, v, d, q = T[xn + y], T[yn + z], T[az], T[xu]
+                    if b < 0 or v < 0 or d < 0 or q < 0:
+                        continue
+                    bd, qv = b * n + d, q * n + v
+                    if T[bd] >= 0:
+                        if T[bd] != v or F[bd] != q:
+                            return False
+                        continue
+                    if 0 <= F[bd] != q:
+                        return False
+                    if qv != bd:
+                        if T[qv] >= 0 or 0 <= F[qv] != b:
+                            return False
+                        T[qv] = d
+                        F[qv] = b
+                    T[bd] = v
+                    F[bd] = q
+                    wrote = True
+        if not wrote:
+            return True
 
 
 def _row_major(n, cells, start, out):

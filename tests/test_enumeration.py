@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from itertools import permutations
 from types import SimpleNamespace
@@ -296,6 +297,50 @@ def test_a_forced_cell_must_agree_with_its_known_first_coordinate(
     assert forced[w] >= 0 and known[w] != first
     F[w] = first
     assert not _propagate(3, F, T)
+
+
+def random_partial_state(n, rng):
+    """Layers (F, T) as the search builds them: a few cells assigned in
+    pairs, s(p) = q with s(q) = p, where F allows it, and a few first
+    coordinates known ahead of their cells; neither is closed."""
+    nn = n * n
+    F, T = [-1] * nn, [-1] * nn
+    for _ in range(rng.randrange(1, n + 2)):
+        free = [w for w in range(nn) if T[w] < 0]
+        if not free:
+            break
+        p, q = rng.choice(free), rng.choice(free)
+        if F[p] in (-1, q // n) and F[q] in (-1, p // n):
+            F[p], T[p] = divmod(q, n)
+            F[q], T[q] = divmod(p, n)
+    for _ in range(rng.randrange(3)):
+        w = rng.randrange(nn)
+        if F[w] < 0:
+            F[w] = rng.randrange(n)
+    return F, T
+
+
+def test_the_closure_does_not_depend_on_the_start_row():
+    # from every start row the cyclic scan must fail exactly when the
+    # full passes of the oracle fail, and otherwise close the layers to
+    # the same (F, T); the seeded states include both verdicts and
+    # closures that write
+    rng = random.Random(20)
+    verdicts = {False: 0, True: 0}
+    wrote = 0
+    for _ in range(4000):
+        n = rng.randint(1, 6)
+        F, T = random_partial_state(n, rng)
+        want_F, want_T = F[:], T[:]
+        ok = oracles.propagate_full_passes(n, want_F, want_T)
+        verdicts[ok] += 1
+        wrote += ok and (want_F, want_T) != (F, T)
+        for x in range(n):
+            got_F, got_T = F[:], T[:]
+            assert _propagate(n, got_F, got_T, x) == ok, (n, F, T, x)
+            if ok:
+                assert (got_F, got_T) == (want_F, want_T), (n, F, T, x)
+    assert min(verdicts.values()) > 1000 and wrote > 500
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
