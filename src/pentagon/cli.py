@@ -53,7 +53,7 @@ from .analysis import (
     find_isomorphism,
     retract,
 )
-from .enumeration import count_up_to_iso, enumerate_pruned
+from .enumeration import count_up_to_iso
 from .monoid import (
     DEFAULT_WORD_BUDGET,
     estimate_growth_degree,
@@ -383,27 +383,20 @@ def _cmd_isomorphic(args, report: _Report) -> int:
 
 
 def _cmd_enumerate(args, report: _Report) -> int:
-    if args.up_to_iso:
-        rep = count_up_to_iso(
-            args.size, budget_ms=args.budget_ms, workers=args.workers
-        )
-        triples = [list(t) for t in rep.class_triples]
-        report.say(
-            f"size {args.size}: {rep.raw_count} tables, {rep.class_count} classes",
-            raw_count=rep.raw_count,
-            class_count=rep.class_count,
-            class_triples=triples,
-            search_nodes=rep.nodes,
-        )
-        for t in triples:
-            report.lines.append(f"  class (x={t[0]}, a={t[1]}, g={t[2]})")
-    else:
-        tables = enumerate_pruned(
-            args.size, budget_ms=args.budget_ms, workers=args.workers
-        )
-        report.say(
-            f"size {args.size}: {len(tables)} tables", raw_count=len(tables)
-        )
+    rep = count_up_to_iso(args.size, budget_ms=args.budget_ms, workers=args.workers)
+    if not args.up_to_iso:
+        report.say(f"size {args.size}: {rep.raw_count} tables", raw_count=rep.raw_count)
+        return 0
+    triples = [list(t) for t in rep.class_triples]
+    report.say(
+        f"size {args.size}: {rep.raw_count} tables, {rep.class_count} classes",
+        raw_count=rep.raw_count,
+        class_count=rep.class_count,
+        class_triples=triples,
+        search_nodes=rep.nodes,
+    )
+    for t in triples:
+        report.lines.append(f"  class (x={t[0]}, a={t[1]}, g={t[2]})")
     return 0
 
 
@@ -466,6 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sol_help = "solution file, or identity(n) / irretractable(r) / canonical(x,a,g)"
 
     p = sub.add_parser("verify", help="check axioms on a solution table")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("solution", help=sol_help)
     p.add_argument(
         "--axioms",
@@ -474,6 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("construct", help="build a solution from (x, a, g, sigma)")
+    p.set_defaults(handler=_cmd_construct)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--g", type=int, default=0)
@@ -481,31 +476,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
 
     p = sub.add_parser("product", help="product of two solutions")
+    p.set_defaults(handler=_cmd_product)
     p.add_argument("left", help=sol_help)
     p.add_argument("right", help=sol_help)
     p.add_argument("--output", "-o")
 
     p = sub.add_parser("retract", help="quotient by equal theta maps")
+    p.set_defaults(handler=_cmd_retract)
     p.add_argument("solution", help=sol_help)
     p.add_argument("--output", "-o")
 
     p = sub.add_parser("classify", help="classification triple (x, a, g)")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("solution", help=sol_help)
 
     p = sub.add_parser("isomorphic", help="decide isomorphism of two solutions")
+    p.set_defaults(handler=_cmd_isomorphic)
     p.add_argument("left", help=sol_help)
     p.add_argument("right", help=sol_help)
 
     p = sub.add_parser("enumerate", help="all involutive solutions of a size")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sigma-search", help="permutations usable by the cycle family")
+    p.set_defaults(handler=_cmd_sigma_search)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("growth", help="structure-monoid growth series")
+    p.set_defaults(handler=_cmd_growth)
     p.add_argument("solution", help=sol_help)
     p.add_argument("--length", type=int, required=True)
     p.add_argument(
@@ -516,24 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("order", help="order of the table as a map on pairs")
+    p.set_defaults(handler=_cmd_order)
     p.add_argument("solution", help=sol_help)
     p.add_argument("--cap", type=int, default=64)
 
     return parser
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "construct": _cmd_construct,
-    "product": _cmd_product,
-    "retract": _cmd_retract,
-    "classify": _cmd_classify,
-    "isomorphic": _cmd_isomorphic,
-    "enumerate": _cmd_enumerate,
-    "sigma-search": _cmd_sigma_search,
-    "growth": _cmd_growth,
-    "order": _cmd_order,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -543,12 +532,11 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    inputs = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("command", "json")
-    }
+    skip = ("command", "handler", "json")  # the handler is a function
+    inputs = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     report = _Report(args.command, inputs, args.json)
     try:
-        code = _HANDLERS[args.command](args, report)
+        code = args.handler(args, report)
     except BudgetError as exc:
         report.say(f"budget exceeded: {exc}", budget_exceeded=True)
         report.flush()

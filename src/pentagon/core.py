@@ -98,6 +98,9 @@ class Bijection:
         return Bijection(inverse_perm(self.images))
 
 
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
+
 def derive_tables(s: SolutionTable) -> tuple[Rows, Rows]:
     """Split s(x, y) = (x*y, theta_x(y)) into its two coordinate tables.
 
@@ -106,11 +109,10 @@ def derive_tables(s: SolutionTable) -> tuple[Rows, Rows]:
     theta row need not be bijective; that is checked where it matters.
     """
     n, e = s.size, s.entries
-    # not zip(*e): its n * n live tuple iterators wake the garbage collector
-    firsts = tuple([k for k, _ in e])
-    seconds = tuple([l for _, l in e])
-    mul = tuple(firsts[i:i + n] for i in range(0, n * n, n))
-    theta = tuple(seconds[i:i + n] for i in range(0, n * n, n))
+    # zip of n references to one iterator cuts it into rows of n; not
+    # zip(*e), whose n * n live tuple iterators wake the garbage collector
+    mul = tuple(zip(*[map(_FIRST, e)] * n))
+    theta = tuple(zip(*[map(_SECOND, e)] * n))
     return mul, theta
 
 
@@ -173,18 +175,17 @@ def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
     M[i] and T[i] the coordinate rows of s (s(i, j) = (M[i][j], T[i][j])),
     the z-rows of these names are c = M[a], p = M[x] o M[y], e = M[b] o
     T[a], q = T[x] o M[y], f = T[b] o T[a] and v = T[y], so a pair (x, y)
-    holds for every z when three pairs of rows are equal.  Each row gets
-    its composer, r -> r o row, before the loop: `bytes.translate` on
-    byte rows up to `_BYTE_RANGE` elements, an `itemgetter` on tuple rows
-    above.  Only the first pair that fails is walked by z.
+    holds for every z when three pairs of rows are equal.  M and T are
+    the rows of `derive_tables`, as bytes up to `_BYTE_RANGE` elements.
+    Each row gets its composer, r -> r o row, before the loop:
+    `bytes.translate` on byte rows, an `itemgetter` on tuple rows above.
+    Only the first pair that fails is walked by z.
     """
     n = s.size
     ent = s.entries
-    rows = bytes if n <= _BYTE_RANGE else tuple
-    firsts, seconds = rows([k for k, _ in ent]), rows([l for _, l in ent])
-    M = [firsts[i:i + n] for i in range(0, n * n, n)]
-    T = [seconds[i:i + n] for i in range(0, n * n, n)]
+    M, T = derive_tables(s)
     if n <= _BYTE_RANGE:
+        M, T = list(map(bytes, M)), list(map(bytes, T))
         pad = bytes(256 - n)  # a translation table maps all 256 byte values
         Mtab, Ttab = [row + pad for row in M], [row + pad for row in T]
         Mcomp = [row.translate for row in M]

@@ -263,8 +263,18 @@ def enumerate_pruned(
 # is a relabelling of the other, so the classes are the Sym(n)-orbits.
 
 
+# Largest carrier `canonical_form` relabels: its 8! = 40,320 relabelings
+# take under a second, while 12! would take hours.
+MAX_CANONICAL_SIZE = 8
+
+
 def canonical_form(s: SolutionTable) -> SolutionTable:
-    """Lexicographically smallest relabeling of the table."""
+    """Lexicographically smallest relabeling of the table; sizes up to
+    `MAX_CANONICAL_SIZE`, since it tries all n! relabelings."""
+    if s.size > MAX_CANONICAL_SIZE:
+        raise ValidationError(
+            f"canonical_form is limited to sizes up to {MAX_CANONICAL_SIZE}"
+        )
     return SolutionTable(s.size, min(_orbit(s.size, s.entries)))
 
 

@@ -12,6 +12,7 @@ from pentagon import (
     canonical_solution,
     cycle_solution,
     cyclic_group,
+    enumerate_pruned,
     identity_solution,
     irretractable_solution,
 )
@@ -344,6 +345,20 @@ def test_enumerate_command(capsys):
     capsys.readouterr()
     assert run(["enumerate", "--size", "3"]) == 0
     assert "1 tables" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_enumerate_modes_report_one_count(capsys, workers):
+    for n in range(1, 7):
+        argv = ["enumerate", "--size", str(n), "--workers", workers]
+        assert run(argv) == 0
+        count = len(enumerate_pruned(n))
+        assert capsys.readouterr().out == f"size {n}: {count} tables\n"
+        counts = []
+        for mode in ([], ["--up-to-iso"]):
+            assert run(["--json"] + argv + mode) == 0
+            counts.append(json.loads(capsys.readouterr().out)["results"]["raw_count"])
+        assert counts == [count, count]
 
 
 def test_enumerate_refuses_fewer_than_one_worker(capsys):

@@ -458,6 +458,16 @@ def test_canonical_form_matches_oracle(rng):
         assert canonical_form(s) == oracles.canonical_form_oracle(s)
 
 
+def test_canonical_form_refuses_carriers_above_its_bound(monkeypatch):
+    # n! relabelings: the bound is checked before the first one
+    calls = []
+    monkeypatch.setattr(enumeration, "_orbit", lambda *args: calls.append(args))
+    n = enumeration.MAX_CANONICAL_SIZE + 1
+    with pytest.raises(ValidationError, match="canonical_form"):
+        canonical_form(identity_solution(n))
+    assert calls == []
+
+
 def test_search_nodes_at_size_five(capsys):
     # assignments tried by the symmetry-broken search with propagated
     # first coordinates and forced cells; with forced cells alone it tried

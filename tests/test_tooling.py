@@ -1,6 +1,7 @@
 """The package as other programs reach it: the benchmark's tracer names
 package functions, and `python -m pentagon` runs the CLI."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -102,3 +103,19 @@ def test_expression_builders_are_reached_by_name(monkeypatch):
     assert sorted(calls) == [
         "canonical_solution", "identity_solution", "irretractable_solution"
     ]
+
+
+def test_the_package_imports_only_the_standard_library():
+    # absolute imports only: relative ones stay inside the package
+    for path in sorted((ROOT / "src" / "pentagon").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "pentagon", (
+                    path.name, name)
