@@ -156,15 +156,28 @@ def perm_order(p: Sequence[int]) -> int:
 # axiom predicates
 #
 # Composition is right to left throughout: in a product like s23 s13 s12
-# the map s12 acts first.  The predicates chase the tables triple by
-# triple, which keeps every one total, except the pentagon check, which
-# composes whole coordinate rows (`pentagon_witness`).  The search
-# propagates the equation on its partial tables itself
-# (`enumeration._propagate`).
+# the map s12 acts first.  On a complete table each law compares whole
+# coordinate rows composed by `_compose_rows`; a witness walks only the
+# first failing pair element by element.  The search propagates the
+# equation on its partial tables itself (`enumeration._propagate`).
 
-# Rows of a table whose entries fit in a byte are composed with
-# `bytes.translate`; rows of larger carriers with `operator.itemgetter`.
-_BYTE_RANGE = 256
+_BYTE_RANGE = 256  # the largest carrier whose rows are composed as bytes
+
+
+def _compose_rows(rows: Sequence[Sequence[int]]) -> tuple[list, list, list]:
+    """The rows of a square table as (rows, tables, composers): rows that
+    compare by value, lookup tables, and per row the map r -> r o row from
+    a lookup table to a row.  Up to `_BYTE_RANGE` elements: `bytes`,
+    256-byte translation tables and `bytes.translate`; above: tuples, the
+    same tuples and an `itemgetter`."""
+    n = len(rows)
+    if n <= _BYTE_RANGE:
+        rows = list(map(bytes, rows))
+        pad = bytes(256 - n)  # a translation table maps all 256 byte values
+        return rows, [row + pad for row in rows], [row.translate for row in rows]
+    # n >= 2 here: itemgetter of a single index returns no tuple
+    rows = list(map(tuple, rows))
+    return rows, rows, [itemgetter(*row) for row in rows]
 
 
 def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
@@ -175,26 +188,12 @@ def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
     M[i] and T[i] the coordinate rows of s (s(i, j) = (M[i][j], T[i][j])),
     the z-rows of these names are c = M[a], p = M[x] o M[y], e = M[b] o
     T[a], q = T[x] o M[y], f = T[b] o T[a] and v = T[y], so a pair (x, y)
-    holds for every z when three pairs of rows are equal.  M and T are
-    the rows of `derive_tables`, as bytes up to `_BYTE_RANGE` elements.
-    Each row gets its composer, r -> r o row, before the loop:
-    `bytes.translate` on byte rows, an `itemgetter` on tuple rows above.
-    Only the first pair that fails is walked by z.
+    holds for every z when three pairs of rows are equal.  The rows of
+    `derive_tables` get their lookup tables and composers from
+    `_compose_rows`.  Only the first pair that fails is walked by z.
     """
-    n = s.size
-    ent = s.entries
-    M, T = derive_tables(s)
-    if n <= _BYTE_RANGE:
-        M, T = list(map(bytes, M)), list(map(bytes, T))
-        pad = bytes(256 - n)  # a translation table maps all 256 byte values
-        Mtab, Ttab = [row + pad for row in M], [row + pad for row in T]
-        Mcomp = [row.translate for row in M]
-        Tcomp = [row.translate for row in T]
-    else:
-        # n >= 2 here: itemgetter of a single index returns no tuple
-        Mtab, Ttab = M, T
-        Mcomp = [itemgetter(*row) for row in M]
-        Tcomp = [itemgetter(*row) for row in T]
+    n, ent = s.size, s.entries
+    (M, Mtab, Mcomp), (T, Ttab, Tcomp) = map(_compose_rows, derive_tables(s))
     for x in range(n):
         mx, tx, xn = Mtab[x], Ttab[x], x * n
         for y in range(n):
@@ -213,15 +212,19 @@ def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:
 def associativity_witness(
     rows: Sequence[Sequence[int]],
 ) -> Optional[tuple[int, int, int]]:
-    """First triple (a, b, c) of a square table where (ab)c != a(bc), or None."""
+    """First triple (a, b, c) of a square table where (ab)c != a(bc), or
+    None.  Row ab must equal row a after row b; only the first pair (a, b)
+    where they differ is walked by c."""
     n = len(rows)
+    rows, tabs, comps = _compose_rows(rows)
     for a in range(n):
-        ra = rows[a]
+        ta = tabs[a]
         for b in range(n):
-            rab, rb = rows[ra[b]], rows[b]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
-                    return (a, b, c)
+            rab, arb = rows[ta[b]], comps[b](ta)
+            if rab != arb:
+                for c in range(n):
+                    if rab[c] != arb[c]:
+                        return (a, b, c)
     return None
 
 
@@ -239,13 +242,9 @@ def check_reversed_pentagon(s: SolutionTable) -> bool:
 
 
 def check_involutive(s: SolutionTable) -> bool:
-    n = s.size
-    ent = s.entries
-    for idx in range(n * n):
-        k, l = ent[idx]
-        if ent[k * n + l] != divmod(idx, n):
-            return False
-    return True
+    """Whether s o s = id, as one composition of s on pair codes."""
+    f = s.flat()
+    return list(map(f.__getitem__, f)) == list(range(len(f)))
 
 
 def check_bijective(s: SolutionTable) -> bool:
@@ -253,19 +252,19 @@ def check_bijective(s: SolutionTable) -> bool:
 
 
 def check_commutative(s: SolutionTable) -> bool:
-    """Whether s12 s13 = s13 s12 holds on all triples."""
-    n = s.size
-    ent = s.entries
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            a, b = ent[xn + y]
-            for z in range(n):
-                c, d = ent[xn + z]
-                p, q = ent[c * n + y]
-                if ent[a * n + z] != (p, d) or b != q:
-                    return False
-    return True
+    """Whether s12 s13 = s13 s12 holds on all triples.
+
+    With a = xy the two sides send (x, y, z) to ((xz)y, theta_{xz}(y),
+    theta_x(z)) and (az, theta_x(y), theta_a(z)), so over all pairs the
+    law is theta_a = theta_x and (xy)z = (xz)y: row a of the
+    multiplication equals column y after row x."""
+    M, T = derive_tables(s)
+    cols = _compose_rows(tuple(zip(*M)))[1]
+    M, _, Mcomp = _compose_rows(M)
+    return all(
+        T[a] == T[x] and M[a] == Mcomp[x](cols[y])
+        for x, mx in enumerate(M) for y, a in enumerate(mx)
+    )
 
 
 def check_cocommutative(s: SolutionTable) -> bool:

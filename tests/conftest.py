@@ -114,3 +114,20 @@ def near_solutions(draw):
 @pytest.fixture
 def rng():
     return random.Random(20240305)
+
+
+@st.composite
+def near_groups(draw):
+    """The Cayley table of a group of order <= 8, as lists, with at most one
+    cell overwritten."""
+    from oracles import symmetric_group
+
+    groups = [cyclic_group(n) for n in range(1, 9)]
+    groups += [xor_group(d) for d in (2, 3)] + [symmetric_group(3)]
+    rows = [list(r) for r in draw(st.sampled_from(groups)).cayley]
+    n = len(rows)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.integers(0, n - 1)
+        )
+    return rows

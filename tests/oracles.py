@@ -146,6 +146,21 @@ def involutive_oracle(s: SolutionTable) -> bool:
     return compose(smap, smap) == {k: k for k in smap}
 
 
+def associativity_failure_oracle(rows) -> Optional[tuple]:
+    """The least triple (a, b, c) where (ab)c != a(bc), or None."""
+    n = len(rows)
+    return next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if rows[rows[a][b]][c] != rows[a][rows[b][c]]
+        ),
+        None,
+    )
+
+
 def bijective_oracle(s: SolutionTable) -> bool:
     smap = as_map(s)
     return len(set(smap.values())) == len(smap)

@@ -1,5 +1,4 @@
 import random
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +39,7 @@ from pentagon.core import associativity_witness, compose_perms, inverse_perm
 
 from conftest import (
     bijective_finite_order_panel,
+    near_groups,
     near_solutions,
     non_solution_panel,
     prime_cycles_table,
@@ -164,17 +164,25 @@ def test_byte_rows_agree_with_the_chase_on_large_tables():
 
 def witness_with_route_spy(s, byte_range):
     """`pentagon_witness(s)` under a given byte range, and whether it took
-    the wide route, which composes tuple rows with `itemgetter`."""
-    getters = []
+    the wide route, where `_compose_rows` returns tuple rows."""
+    routes = []
+    compose_rows = core._compose_rows
 
-    def getter(*items):
-        getters.append(len(items))
-        return itemgetter(*items)
+    def spy(rows):
+        composed = compose_rows(rows)
+        routes.append(type(composed[0][0]) is tuple)
+        return composed
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BYTE_RANGE", byte_range)
-        mp.setattr(core, "itemgetter", getter)
-        return pentagon_witness(s), bool(getters)
+        mp.setattr(core, "_compose_rows", spy)
+        return pentagon_witness(s), any(routes)
+
+
+def byte_ranges(n):
+    """The byte ranges that put a carrier of size n on each route; size 1
+    stays on the byte route, where itemgetter of one index is no row."""
+    return (256, 1) if n > 1 else (256,)
 
 
 @given(s=near_solutions())
@@ -193,6 +201,38 @@ def test_byte_rows_cover_exactly_the_byte_range():
         cells[1] = (1, 1)
         t = SolutionTable(n, tuple(cells))
         assert witness_with_route_spy(t, 256) == ((0, 2, 1), n == 257)
+
+
+def test_compose_rows_switches_to_tuples_above_the_byte_range():
+    for n in (256, 257):
+        identity = [tuple(range(n))] * n
+        rows, tables, composers = core._compose_rows(identity)
+        assert {type(r) for r in rows} == {bytes if n == 256 else tuple}
+        assert list(rows[0]) == list(range(n))
+        assert composers[0](tables[1]) == rows[2]
+
+
+@given(s=near_solutions())
+def test_row_laws_match_the_oracles_on_both_routes(s):
+    want = (
+        oracles.commutative_oracle(s),
+        oracles.cocommutative_oracle(s),
+        oracles.involutive_oracle(s),
+    )
+    for byte_range in byte_ranges(s.size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BYTE_RANGE", byte_range)
+            got = (check_commutative(s), check_cocommutative(s), check_involutive(s))
+        assert got == want
+
+
+@given(rows=near_groups())
+def test_associativity_witness_is_the_least_triple_on_both_routes(rows):
+    want = oracles.associativity_failure_oracle(rows)
+    for byte_range in byte_ranges(len(rows)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BYTE_RANGE", byte_range)
+            assert associativity_witness(rows) == want
 
 
 def test_identity_beyond_the_byte_range_holds():
@@ -409,16 +449,7 @@ def test_associativity_witness_is_the_first_failing_triple(rng):
             [j if i == 0 else i if j == 0 else rng.randrange(n) for j in range(n)]
             for i in range(n)
         ]
-        want = next(
-            (
-                (a, b, c)
-                for a in range(n)
-                for b in range(n)
-                for c in range(n)
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]
-            ),
-            None,
-        )
+        want = oracles.associativity_failure_oracle(rows)
         assert associativity_witness(rows) == want
         if want is None:
             continue
