@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, permutations, product
-from math import lcm
+from math import factorial, inf, lcm, lgamma, log
 from typing import Optional, Sequence
 
 from .core import (
@@ -298,17 +298,52 @@ def cycle_solution(sigma: Sequence[int], g: GroupTable) -> SolutionTable:
     ))
 
 
-# sigma_search tries all n! permutations: n = 9 takes 1.3 s and n = 10
-# 12 s on a 2-CPU Xeon (Python 3.11), and each step up multiplies that by n
-MAX_SIGMA_N = 10
+# sigma_search builds its members instead of filtering Sym(n), so what
+# bounds it is the output: n entries for each of the 1 + sum over d | n,
+# d >= 2, of ((n/d)!)^(d-1) members.  n = 16 (54,274 members) passes
+# and n = 18 (889,314) is refused before anything is built.
+MAX_SIGMA_ENTRIES = 1 << 20
+
+
+def _sigma_count(n: int) -> float:
+    """len(sigma_search(n)), or inf where n alone or one summand of the
+    count is past MAX_SIGMA_ENTRIES, so no factorial of a large n is taken."""
+    if n > MAX_SIGMA_ENTRIES:
+        return inf
+    orders = [d for d in range(2, n + 1) if n % d == 0]
+    if any(lgamma(n // d + 1) * (d - 1) > log(MAX_SIGMA_ENTRIES) for d in orders):
+        return inf
+    return 1 + sum(factorial(n // d) ** (d - 1) for d in orders)
 
 
 def sigma_search(n: int) -> list[tuple[int, ...]]:
-    """All permutations in Sym(n) satisfying the exponent condition, lex order."""
+    """All permutations in Sym(n) satisfying the exponent condition, lex order.
+
+    With d = ord sigma the condition reads sigma(i) = i - 1 mod d, so d
+    divides n and sigma maps each residue class mod d onto the previous
+    one.  Besides the identity, each member of order d >= 2 is a choice of
+    bijections from class r onto class r - 1 for r = d-1, ..., 1, with the
+    map from class 0 onto class d-1 that closes every cycle, sigma^d = id.
+    Class r holds r + t*d for t < n/d, so a bijection is a permutation of
+    the positions t.
+    """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if n > MAX_SIGMA_N:
-        raise ValidationError(f"n {n} exceeds the cap of {MAX_SIGMA_N}")
-    return [
-        p for p in permutations(range(n)) if sigma_condition_witness(p) is None
-    ]
+    if n * _sigma_count(n) > MAX_SIGMA_ENTRIES:
+        raise ValidationError(
+            f"n {n} exceeds the cap of {MAX_SIGMA_ENTRIES} output entries"
+        )
+    found = [tuple(range(n))]
+    for d in range(2, n + 1):
+        if n % d:
+            continue
+        for steps in product(permutations(range(n // d)), repeat=d - 1):
+            p = [0] * n
+            for t in range(n // d):  # the cycle through d - 1 + t*d
+                s = t
+                for r in range(d - 1, 0, -1):
+                    p[r + s * d] = r - 1 + steps[r - 1][s] * d
+                    s = steps[r - 1][s]
+                p[s * d] = d - 1 + t * d
+            found.append(tuple(p))
+    return sorted(found)

@@ -53,7 +53,10 @@ class EnumerationReport:
 # mentioned so far by an assigned cell or by the current cell's indices;
 # the mentioned elements are always 0..m, the others interchangeable, so
 # only values (k, l) with k <= m+1 and l <= max(m, k)+1 are tried: every
-# solution has a relabelling that the search reaches.
+# solution has a relabelling that the search reaches.  Within that order
+# the search fails first, as SEM and Mace4 (McCune, 2003) do: the next
+# cell is the first unassigned one whose F is known, with at most m + 2
+# values, and the first unassigned one only when there is none.
 #
 # F[w] can be known before s(w) is assigned.  The first half of the
 # pentagon equation reads M(M(x,y), z) = M(x, M(y,z)) for the
@@ -61,18 +64,19 @@ class EnumerationReport:
 # one side from the other.  After every assignment `_propagate` closes
 # the partial table under that associativity and under the second half,
 # which writes the cells it forces; every fact it writes mentions only
-# elements <= m.  Its scan starts at the row of the assigned cell, where
-# most contradictions show, and stops once a full cycle of rows has
-# written nothing; since the closure does not depend on the order of
-# the scan, neither does the search tree.  A cell whose F is known is
-# tried only with that first coordinate.  Each value tried copies its
-# node's two layers, at most 49 cells each, so nothing is undone
-# (Schulte, ICLP 1999).  The cell order is sorted once per search, and
-# the split hands it to each prefix with the prefix's closure (F, T, m),
-# so `_finish` resumes exactly where the split stopped and the node
-# count does not depend on the worker count.  The deadline `at` is a
-# point on the monotonic clock (inf without a budget), read before
-# every assignment.
+# elements <= m, so a cell whose F is known mentions no new element and
+# taking it out of turn keeps the symmetry breaking sound; it is tried
+# only with that first coordinate.  The propagator's scan starts at the
+# row of the assigned cell, where most contradictions show, and stops
+# once a full cycle of rows has written nothing; since the closure does
+# not depend on the order of the scan, neither does the search tree.
+# Each value tried copies its node's two layers, at most 49 cells each,
+# so nothing is undone (Schulte, ICLP 1999).  The cell order is sorted
+# once per search, and the split hands it to each prefix with the
+# prefix's closure (F, T, m), so `_finish` resumes exactly where the
+# split stopped and the node count does not depend on the worker count.
+# The deadline `at` is a point on the monotonic clock (inf without a
+# budget), read before every assignment.
 
 
 def _cell_order(n: int) -> list[int]:
@@ -151,11 +155,13 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
     assignments tried, its own and its children's.
 
     Cells before `pos` in `order` are assigned, m is the largest element
-    they mention, and F and T are closed under `_propagate`.  Each value
-    tried writes a copy of the two layers, so a node never changes its
-    parent's.  With a negative depth the search runs to the end and
-    appends each complete table; otherwise it stops at a complete table
-    or after `depth` more decisions and appends the prefix (F, T, m).
+    the assigned cells mention, and F and T are closed under `_propagate`.
+    The cell tried is the first unassigned one from `pos` on whose F is
+    known, else the first unassigned one, so a child resumes at `pos`.
+    Each value tried writes a copy of the two layers, so a node never
+    changes its parent's.  With a negative depth the search runs to the
+    end and appends each complete table; otherwise it stops at a complete
+    table or after `depth` more decisions and appends the prefix (F, T, m).
     Raises BudgetError at the first assignment after the deadline `at`.
     """
     end = len(order)
@@ -165,6 +171,9 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
         out.append(tuple(zip(F, T)) if depth < 0 else (F, T, m))
         return 0
     p = order[pos]
+    if F[p] < 0:  # fail first: the next cell whose F is known, if any
+        p = next((c for c in map(order.__getitem__, range(pos + 1, end))
+                  if F[c] >= 0 > T[c]), p)
     i, j = divmod(p, n)
     m = max(m, i, j)
     first = F[p]
@@ -181,8 +190,8 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
             F2[p], T2[p] = k, l
             F2[q], T2[q] = i, j
             if _propagate(n, F2, T2, i):
-                nodes += _search(n, F2, T2, order, pos + 1, max(m, k, l), at,
-                                 out, depth - 1)
+                nodes += _search(n, F2, T2, order, pos, max(m, k, l), at, out,
+                                 depth - 1)
     return nodes
 
 

@@ -443,7 +443,7 @@ def test_growth_length_is_capped_before_any_stratum(capsys):
 
 
 def test_sigma_search_size_is_capped_before_any_permutation(capsys):
-    # sigma-search tries all n! permutations, so n itself is bounded
+    # sigma-search is bounded by its output, refused before it is built
     started = time.monotonic()
     assert run(["sigma-search", "--n", "1000000"]) == 2
     assert time.monotonic() - started < 5

@@ -541,6 +541,22 @@ def test_sigma_search_counts():
         assert len(sigma_search(n)) == want
 
 
+def test_sigma_search_is_the_filter_of_sym_n():
+    # the construction against the literal filter of all n! permutations
+    for n in range(1, 9):
+        assert sigma_search(n) == [
+            p for p in all_perms(range(n)) if sigma_condition_witness(p) is None
+        ]
+
+
+def test_sigma_search_is_bounded_by_its_output():
+    # n = 17 is prime, so its two members are short; 18 has 889,314
+    assert sigma_search(17) == [tuple(range(17)), (16,) + tuple(range(16))]
+    for n in (18, 10**6, 10**18):
+        with pytest.raises(ValidationError, match="exceeds the cap"):
+            sigma_search(n)
+
+
 def test_trivial_sigma_shape():
     sig = trivial_sigma(3, 2)
     assert len(sig.perms) == 4

@@ -9,6 +9,7 @@ import pytest
 from pentagon import (
     BudgetError,
     ClassificationTriple,
+    SolutionTable,
     ValidationError,
     canonical_form,
     canonical_solution,
@@ -167,7 +168,7 @@ def test_budget_is_checked_inside_each_prefix(monkeypatch, workers):
 
 def test_search_stops_at_the_first_assignment_after_the_deadline(monkeypatch):
     # the clock is read before every assignment, so a deadline that passes
-    # after 200 of them stops the size-6 search (9,726 assignments) there
+    # after 200 of them stops the size-6 search (6,308 assignments) there
     calls = 0
     real_propagate = enumeration._propagate
 
@@ -470,19 +471,20 @@ def test_canonical_form_refuses_carriers_above_its_bound(monkeypatch):
 
 def test_search_nodes_at_size_five(capsys):
     # assignments tried by the symmetry-broken search with propagated
-    # first coordinates and forced cells; with forced cells alone it tried
+    # first coordinates, forced cells and the fail-first cell choice; in
+    # the static cell order it tried 2,420, with forced cells alone
     # 27,389, and the row-major search without either 354,259
-    assert count_up_to_iso(5).nodes == 2420
+    assert count_up_to_iso(5).nodes == 1839
     assert run(["--json", "enumerate", "--size", "5", "--up-to-iso",
                 "--workers", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results["search_nodes"] == 2420
+    assert results["search_nodes"] == 1839
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_search_nodes_at_size_six(workers):
-    # 957,188 with forced cells alone
-    assert count_up_to_iso(6, workers=workers).nodes == 9726
+    # 9,726 in the static cell order, 957,188 with forced cells alone
+    assert count_up_to_iso(6, workers=workers).nodes == 6308
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -491,7 +493,71 @@ def test_size_seven_is_one_class(workers):
     report = count_up_to_iso(7, workers=workers)
     assert (report.raw_count, report.class_count) == (1, 1)
     assert report.class_triples == ((7, 0, 0),)
-    assert report.nodes == 28606
+    assert report.nodes == 14164  # 28,606 in the static cell order
+
+
+# raw tables and class triples at sizes 1..7, as the search in the
+# static cell order found them
+RAW_COUNTS = {1: 1, 2: 5, 3: 1, 4: 57, 5: 1, 6: 241, 7: 1}
+
+
+def shape_triples(n):
+    """The triples (|X|, log2 |A|, log2 |G|) the theorem allows at size n."""
+    k = (n & -n).bit_length() - 1
+    return {(n >> (a + g), a, g) for a in range(k + 1) for g in range(k + 1 - a)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cells_with_a_known_first_coordinate_mention_no_new_element(
+        monkeypatch, n):
+    # the fail-first choice may take a later cell only because every fact
+    # the propagator writes mentions elements <= m; the recursion goes
+    # through the module global, so the spy sees every node
+    search, propagate = enumeration._search, enumeration._propagate
+    calls = passed = 0
+
+    def counted(*args):
+        nonlocal passed
+        ok = propagate(*args)
+        passed += ok
+        return ok
+
+    def spy(n, F, T, order, pos, m, *rest, **kwargs):
+        nonlocal calls
+        calls += 1
+        for c in range(n * n):
+            if F[c] >= 0 > T[c]:
+                assert max(divmod(c, n)) <= m, (F, T, m, c)
+        return search(n, F, T, order, pos, m, *rest, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_search", spy)
+    monkeypatch.setattr(enumeration, "_propagate", counted)
+    report = count_up_to_iso(n)
+    assert calls > passed  # the root, and a child per assignment that held
+    assert report.raw_count == RAW_COUNTS[n]
+    assert set(report.class_triples) == shape_triples(n)
+    assert report.representatives == tuple(sorted(
+        (canonical_form(canonical_solution(*t)) for t in report.class_triples),
+        key=lambda t: t.entries,
+    ))
+
+
+def test_the_search_reaches_every_class_at_size_eight():
+    # past the public cap: the search on empty layers finds 302 complete
+    # tables, and between them the ten classes of 8 = 2^3
+    out = []
+    order = _cell_order(8)
+    enumeration._search(8, [-1] * 64, [-1] * 64, order, 0, -1, float("inf"),
+                        out)
+    assert len(out) == 302
+    triples = set()
+    for cells in out:
+        s = SolutionTable(8, cells)
+        assert check_pentagon(s) and check_involutive(s)
+        c = classify(s)
+        triples.add((c.x_size, c.a_dim, c.g_dim))
+    assert len(triples) == expected_count(8) == 10
+    assert triples == shape_triples(8)
 
 
 def test_expected_count_examples():
