@@ -6,8 +6,9 @@ least one table of every isomorphism class; relabelling those tables by
 every permutation of the carrier then gives every table.  After each
 assignment a propagator closes the partial table under the equation:
 the first coordinates form an associative table, so the search keeps a
-layer F of first coordinates known before their cells are, and writes
-the cells the second coordinates force.  The search state is two flat
+layer F of first coordinates known before their cells are; the half
+on second coordinates, which equates one cell with coordinates of two
+others, is read both ways.  The search state is two flat
 lists, F of first and T of second coordinates, copied at each node, and
 each prefix of the split carries that state closed, so it resumes there.
 The search runs on raw tables, so nothing about the classification
@@ -61,15 +62,21 @@ class EnumerationReport:
 # F[w] can be known before s(w) is assigned.  The first half of the
 # pentagon equation reads M(M(x,y), z) = M(x, M(y,z)) for the
 # first-coordinate table M, so once F knows M(x,y) and M(y,z), it knows
-# one side from the other.  After every assignment `_propagate` closes
-# the partial table under that associativity and under the second half,
-# which writes the cells it forces; every fact it writes mentions only
-# elements <= m, so a cell whose F is known mentions no new element and
-# taking it out of turn keeps the symmetry breaking sound; it is tried
-# only with that first coordinate.  The propagator's scan starts at the
-# row of the assigned cell, where most contradictions show, and stops
-# once a full cycle of rows has written nothing; since the closure does
-# not depend on the order of the scan, neither does the search tree.
+# one side from the other.  The second half reads s(b,d) = (q,v), where
+# q and v are the second coordinates of s(x,u) and s(y,z), and is read
+# both ways, as SEM's cell-level consequences are: a known q writes the
+# first coordinate of s(b,d), which a known v then completes, and a
+# known first or second coordinate of s(b,d) completes s(x,u) or s(y,z).
+# After every assignment `_propagate` closes the partial table under
+# both halves.  Each rule copies values of known facts into cells that
+# known facts name, so every fact it writes mentions only elements <= m.
+# So a cell whose F is known mentions no new element, taking it out of
+# turn keeps the symmetry breaking sound, and it is tried only with that
+# first coordinate.  The propagator's scan starts at the row of the assigned
+# cell, where most contradictions show, and stops once a full cycle of
+# rows has written nothing.  Every rule only adds facts, so the closure,
+# and whether it fails, do not depend on the order of the scan, and
+# neither does the search tree.
 # Each value tried copies its node's two layers, at most 49 cells each,
 # so nothing is undone (Schulte, ICLP 1999).  The cell order is sorted
 # once per search, and the split hands it to each prefix with the
@@ -84,15 +91,32 @@ def _cell_order(n: int) -> list[int]:
     return sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
 
 
+def _complete(n: int, F: list[int], T: list[int], w: int, l: int) -> bool:
+    """Complete the unassigned cell w, whose first coordinate k = F[w] is
+    known, as s(w) = (k, l), and its partner as s(k, l) = w; False,
+    writing nothing, if the partner already says otherwise."""
+    q = F[w] * n + l
+    if q != w:
+        i, j = divmod(w, n)
+        if T[q] >= 0 or 0 <= F[q] != i:
+            return False
+        F[q], T[q] = i, j
+    T[w] = l
+    return True
+
+
 def _propagate(n: int, F: list[int], T: list[int], x: int = 0) -> bool:
     """Close a partial table under the pentagon equation; False if it fails.
 
     With s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q)
     and s(b,d) = (e,f) the equation reads c = p and (e,f) = (q,v).  Once
     F knows a and u, a known c or p is written into the other one, and
-    two known ones must agree.  Once the four cells are assigned, an
-    unassigned s(b,d) is written as (q,v) and its partner s(q,v) as
-    (b,d), provided that F allows both; an assigned one must equal (q,v).
+    two known ones must agree.  Once c = p and b, d are known, (e,f) =
+    (q,v) is read both ways, with e = F[bd] and f = T[bd]: a known q is
+    written into F[bd], and a known e completes s(x,u) = (c,e); then a
+    known v completes s(b,d) = (e,v), and a known f completes s(y,z) =
+    (u,f).  Each cell is completed with its partner by `_complete`, and
+    two known values of one fact must agree.
 
     The scan visits the rows x of the triples cyclically, from row `x`
     (the search passes the row of the cell it just assigned), and stops
@@ -127,23 +151,33 @@ def _propagate(n: int, F: list[int], T: list[int], x: int = 0) -> bool:
                     continue  # that cell is unassigned
                 if c < 0:
                     continue
-                b, v, d, q = T[xn + y], T[yn + z], T[az], T[xu]
-                if b < 0 or v < 0 or d < 0 or q < 0:
+                b, d = T[xn + y], T[az]
+                if b < 0 or d < 0:
                     continue
-                bd, qv = b * n + d, q * n + v
-                if T[bd] >= 0:
-                    if T[bd] != v or F[bd] != q:
+                bd, yz = b * n + d, yn + z
+                e, q = F[bd], T[xu]
+                if q < 0:
+                    if e < 0:
+                        continue
+                    if not _complete(n, F, T, xu, e):
                         return False
-                    continue
-                if 0 <= F[bd] != q:
+                    clean = 0
+                elif e < 0:
+                    F[bd] = e = q
+                    clean = 0
+                elif e != q:
                     return False
-                if qv != bd:
-                    if T[qv] >= 0 or 0 <= F[qv] != b:
+                v, f = T[yz], T[bd]
+                if v == f:
+                    continue  # both unknown, or they agree
+                if v < 0:
+                    if not _complete(n, F, T, yz, f):
                         return False
-                    T[qv] = d
-                    F[qv] = b
-                T[bd] = v
-                F[bd] = q
+                elif f < 0:
+                    if not _complete(n, F, T, bd, v):
+                        return False
+                else:
+                    return False
                 clean = 0
         x = (x + 1) % n
     return True

@@ -9,7 +9,9 @@ set.  `row_major_tables`, the search without symmetry breaking, prunes
 with `chase_pentagon`, a triple-by-triple chase that accepts partial
 tables and is itself checked against `pentagon_failures` in the core
 tests.  `propagate_full_passes` is the search's closure as full passes
-over every triple, the reference for its cyclic scan.
+over every triple, one rule per visit, the reference for its cyclic
+scan; it reads the second half of the equation both ways, as the
+search does.
 
 `symmetric_group`, `check_simple` and `perm_power` are library-style
 helpers that only the tests call: a non-abelian group for the
@@ -379,56 +381,87 @@ def chase_pentagon(
     return None
 
 
+def _write_pair(n: int, F: list, T: list, w: int, k: int, l: int) -> bool:
+    """Write s(w) = (k, l) and s(k, l) = w into the layers; False if
+    either cell already holds another coordinate."""
+    i, j = divmod(w, n)
+    v = k * n + l
+    for cell, first, second in ((w, k, l), (v, i, j)):
+        if F[cell] not in (-1, first) or T[cell] not in (-1, second):
+            return False
+    F[w], T[w] = k, l
+    F[v], T[v] = i, j
+    return True
+
+
 def propagate_full_passes(n: int, F: list, T: list) -> bool:
     """The search's closure (`enumeration._propagate`) by full passes:
     every triple (x, y, z) in row-major order, pass after pass, until a
     pass writes nothing; False at the first contradiction.  F and T are
     the flat first- and second-coordinate layers, -1 where unknown, and
-    are closed in place.  The same rules, fired in another order."""
+    are closed in place.
+
+    With s(x,y) = (a,b), s(y,z) = (u,v), s(a,z) = (c,d), s(x,u) = (p,q)
+    and s(b,d) = (e,f), a visit fires the first of these rules that
+    writes and moves on:
+    c = p, either way; then, with b and d known, e = q, either way
+    (a known e writes the cell s(x,u) = (c,e)); then, with e known,
+    f = v, either way (a known v writes s(b,d) = (e,v), a known f
+    writes s(y,z) = (u,f)).  Every cell is written with its partner.
+    Two known values that the rules equate must agree.  The same rules
+    as the library's, fired in another order."""
     while True:
         wrote = False
         for x in range(n):
-            xn = x * n
             for y in range(n):
-                a = F[xn + y]
+                a = F[x * n + y]
                 if a < 0:
                     continue
-                an, yn = a * n, y * n
                 for z in range(n):
-                    u = F[yn + z]
+                    u = F[y * n + z]
                     if u < 0:
                         continue
-                    az, xu = an + z, xn + u
+                    xy, yz, az, xu = x * n + y, y * n + z, a * n + z, x * n + u
                     c, p = F[az], F[xu]
-                    if c != p:
-                        if c >= 0 and p >= 0:
-                            return False
-                        if c < 0:
-                            F[az] = p
-                        else:
-                            F[xu] = c
-                        wrote = True
-                        continue  # that cell is unassigned
-                    if c < 0:
-                        continue
-                    b, v, d, q = T[xn + y], T[yn + z], T[az], T[xu]
-                    if b < 0 or v < 0 or d < 0 or q < 0:
-                        continue
-                    bd, qv = b * n + d, q * n + v
-                    if T[bd] >= 0:
-                        if T[bd] != v or F[bd] != q:
-                            return False
-                        continue
-                    if 0 <= F[bd] != q:
+                    if c >= 0 and p >= 0 and c != p:
                         return False
-                    if qv != bd:
-                        if T[qv] >= 0 or 0 <= F[qv] != b:
+                    if c >= 0 > p:
+                        F[xu] = c
+                        wrote = True
+                        continue
+                    if p >= 0 > c:
+                        F[az] = p
+                        wrote = True
+                        continue
+                    b, d = T[xy], T[az]
+                    if c < 0 or b < 0 or d < 0:
+                        continue
+                    bd = b * n + d
+                    e, q = F[bd], T[xu]
+                    if e >= 0 and q >= 0 and e != q:
+                        return False
+                    if q >= 0 > e:
+                        F[bd] = q
+                        wrote = True
+                        continue
+                    if e >= 0 > q:
+                        if not _write_pair(n, F, T, xu, c, e):
                             return False
-                        T[qv] = d
-                        F[qv] = b
-                    T[bd] = v
-                    F[bd] = q
-                    wrote = True
+                        wrote = True
+                        continue
+                    f, v = T[bd], T[yz]
+                    if e < 0:
+                        continue
+                    if f >= 0 and v >= 0 and f != v:
+                        return False
+                    if v >= 0 > f:
+                        if not _write_pair(n, F, T, bd, e, v):
+                            return False
+                        wrote = True
+                    elif f >= 0 > v:
+                        if not _write_pair(n, F, T, yz, u, f):
+                            return False
+                        wrote = True
         if not wrote:
             return True
 

@@ -159,16 +159,16 @@ def early_then_late(early_reads):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_is_checked_inside_each_prefix(monkeypatch, workers):
     # a deadline that passes after the split: the clock stays early for
-    # setting the deadline and for the 52 assignments of the size-5 split,
+    # setting the deadline and for the 63 assignments of the size-5 split,
     # so the first late read falls inside a prefix, in every process
-    monkeypatch.setattr(enumeration, "time", early_then_late(1 + 52))
+    monkeypatch.setattr(enumeration, "time", early_then_late(1 + 63))
     with pytest.raises(BudgetError):
         enumerate_pruned(5, budget_ms=1000, workers=workers)
 
 
 def test_search_stops_at_the_first_assignment_after_the_deadline(monkeypatch):
     # the clock is read before every assignment, so a deadline that passes
-    # after 200 of them stops the size-6 search (6,308 assignments) there
+    # after 200 of them stops the size-6 search (4,962 assignments) there
     calls = 0
     real_propagate = enumeration._propagate
 
@@ -300,6 +300,20 @@ def test_a_forced_cell_must_agree_with_its_known_first_coordinate(
     assert not _propagate(3, F, T)
 
 
+def test_a_first_coordinate_known_ahead_must_agree_with_the_second_half():
+    # s(0,1) = (0,2), s(0,2) = (0,1) and F(1,2) = 2: the triple (0, 1, 2)
+    # has c = p = 0, (b, d) = (2, 1) and q = 1, so the second half asks
+    # for F(2,1) = 1, which it writes when F(2,1) is unknown; a known 2
+    # is a contradiction that no other triple of this state shows
+    F, T = split_cells([None, (0, 2), (0, 1)] + [None] * 6)
+    F[5] = 2
+    known, forced = F[:], T[:]
+    assert _propagate(3, known, forced)
+    assert known[7] == 1 and forced[7] < 0
+    F[7] = 2
+    assert not _propagate(3, F, T)
+
+
 def random_partial_state(n, rng):
     """Layers (F, T) as the search builds them: a few cells assigned in
     pairs, s(p) = q with s(q) = p, where F allows it, and a few first
@@ -342,6 +356,53 @@ def test_the_closure_does_not_depend_on_the_start_row():
             if ok:
                 assert (got_F, got_T) == (want_F, want_T), (n, F, T, x)
     assert min(verdicts.values()) > 1000 and wrote > 500
+
+
+def agrees(F, T, entries):
+    """Whether every known fact of the layers is an entry of the table."""
+    return all(f in (-1, k) and t in (-1, l)
+               for f, t, (k, l) in zip(F, T, entries))
+
+
+def test_the_closure_writes_only_facts_of_every_solution_it_allows():
+    # against the complete solutions of the row-major search, which uses
+    # neither `_propagate` nor the symmetry breaking: closing a paired
+    # sub-state of a solution, with a few of its first coordinates known
+    # ahead, succeeds from every start row and writes only that
+    # solution's facts; a random state the closure refuses extends to
+    # none of them, and one it closes keeps every solution it allowed
+    rng = random.Random(24)
+    tables = {n: [s.entries for s in oracles.row_major_tables(n)]
+              for n in range(1, 6)}
+    wrote = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        entries = rng.choice(tables[n])
+        nn = n * n
+        F, T = [-1] * nn, [-1] * nn
+        for p in rng.sample(range(nn), rng.randrange(nn)):
+            k, l = entries[p]
+            F[p], T[p] = k, l
+            F[k * n + l], T[k * n + l] = divmod(p, n)
+        for w in rng.sample(range(nn), rng.randrange(min(3, nn) + 1)):
+            F[w] = entries[w][0]
+        for x in range(n):
+            got_F, got_T = F[:], T[:]
+            assert _propagate(n, got_F, got_T, x), (n, F, T, x)
+            assert agrees(got_F, got_T, entries), (n, F, T, x)
+        wrote += (got_F, got_T) != (F, T)
+    refused = kept = 0
+    for _ in range(6000):
+        n = rng.randint(1, 5)
+        F, T = random_partial_state(n, rng)
+        allowed = [e for e in tables[n] if agrees(F, T, e)]
+        if _propagate(n, F, T):
+            assert all(agrees(F, T, e) for e in allowed), (n, F, T)
+            kept += bool(allowed)
+        else:
+            refused += 1
+            assert allowed == [], (n, F, T)
+    assert wrote > 1000 and refused > 1000 and kept > 1000
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -471,20 +532,22 @@ def test_canonical_form_refuses_carriers_above_its_bound(monkeypatch):
 
 def test_search_nodes_at_size_five(capsys):
     # assignments tried by the symmetry-broken search with propagated
-    # first coordinates, forced cells and the fail-first cell choice; in
-    # the static cell order it tried 2,420, with forced cells alone
-    # 27,389, and the row-major search without either 354,259
-    assert count_up_to_iso(5).nodes == 1839
+    # first coordinates, the second half read both ways and the
+    # fail-first cell choice; reading it one way only it tried 1,839, in
+    # the static cell order 2,420, with forced cells alone 27,389, and the
+    # row-major search without either 354,259
+    assert count_up_to_iso(5).nodes == 1506
     assert run(["--json", "enumerate", "--size", "5", "--up-to-iso",
                 "--workers", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results["search_nodes"] == 1839
+    assert results["search_nodes"] == 1506
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_search_nodes_at_size_six(workers):
-    # 9,726 in the static cell order, 957,188 with forced cells alone
-    assert count_up_to_iso(6, workers=workers).nodes == 6308
+    # 6,308 reading the second half one way only, 9,726 in the static
+    # cell order, 957,188 with forced cells alone
+    assert count_up_to_iso(6, workers=workers).nodes == 4962
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -493,7 +556,9 @@ def test_size_seven_is_one_class(workers):
     report = count_up_to_iso(7, workers=workers)
     assert (report.raw_count, report.class_count) == (1, 1)
     assert report.class_triples == ((7, 0, 0),)
-    assert report.nodes == 14164  # 28,606 in the static cell order
+    # 14,164 reading the second half one way only, 28,606 in the static
+    # cell order
+    assert report.nodes == 11000
 
 
 # raw tables and class triples at sizes 1..7, as the search in the
@@ -544,12 +609,14 @@ def test_cells_with_a_known_first_coordinate_mention_no_new_element(
 
 def test_the_search_reaches_every_class_at_size_eight():
     # past the public cap: the search on empty layers finds 302 complete
-    # tables, and between them the ten classes of 8 = 2^3
+    # tables, and between them the ten classes of 8 = 2^3, in 19,479
+    # assignments (27,237 reading the second half one way only)
     out = []
     order = _cell_order(8)
-    enumeration._search(8, [-1] * 64, [-1] * 64, order, 0, -1, float("inf"),
-                        out)
+    nodes = enumeration._search(8, [-1] * 64, [-1] * 64, order, 0, -1,
+                                float("inf"), out)
     assert len(out) == 302
+    assert nodes == 19479
     triples = set()
     for cells in out:
         s = SolutionTable(8, cells)
