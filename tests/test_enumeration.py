@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from itertools import permutations
+from math import inf
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +33,8 @@ from pentagon.cli import run
 from pentagon.enumeration import _cell_order, _propagate
 
 import oracles
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 SIZE_SIX_SHAPES = ((6, 0, 0), (3, 1, 0), (3, 0, 1))
 
@@ -156,14 +163,32 @@ def early_then_late(early_reads):
     return SimpleNamespace(monotonic=monotonic)
 
 
+def split(n):
+    """The assignments the depth-2 split of the size-n search tries, and
+    the prefixes it emits."""
+    prefixes = []
+    nodes = enumeration._search(n, [-1] * (n * n), [-1] * (n * n),
+                                _cell_order(n), 0, -1, inf, prefixes, depth=2)
+    return nodes, len(prefixes)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_is_checked_inside_each_prefix(monkeypatch, workers):
     # a deadline that passes after the split: the clock stays early for
-    # setting the deadline and for the 63 assignments of the size-5 split,
-    # so the first late read falls inside a prefix, in every process
-    monkeypatch.setattr(enumeration, "time", early_then_late(1 + 63))
+    # setting the deadline and for the split's assignments, so the first
+    # late read falls inside a prefix, in every process
+    finished = []
+    real_finish = enumeration._finish
+
+    def finish(task):
+        finished.append(task)
+        return real_finish(task)
+
+    monkeypatch.setattr(enumeration, "_finish", finish)
+    monkeypatch.setattr(enumeration, "time", early_then_late(1 + split(5)[0]))
     with pytest.raises(BudgetError):
         enumerate_pruned(5, budget_ms=1000, workers=workers)
+    assert finished  # this process started a prefix: the split finished
 
 
 def test_search_stops_at_the_first_assignment_after_the_deadline(monkeypatch):
@@ -199,45 +224,118 @@ def test_budget_covers_the_orbit_expansion(monkeypatch):
         count_up_to_iso(6, budget_ms=60000)
 
 
-def test_pool_is_no_larger_than_the_prefix_count(monkeypatch):
-    # an in-process pool that records its size: a huge --workers must not
-    # ask the OS for more processes than there are prefixes to finish
+def test_helpers_are_fewer_than_the_prefixes(monkeypatch):
+    # helper processes that run in this one and are counted: a huge
+    # --workers must not ask the OS for more processes than there are
+    # prefixes to finish, this process finishing some of them too
     import multiprocessing
 
-    seen = {}
+    helpers = []
 
-    class FakePool:
-        def __init__(self, processes):
-            seen["size"] = processes
+    class FakeProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            helpers.append(self)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def terminate(self):
+            pass
 
-        def imap_unordered(self, fn, tasks):
-            tasks = list(tasks)
-            seen["prefixes"] = len(tasks)
-            return map(fn, tasks)
+        def join(self):
+            pass
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Process", FakeProcess)
     tables = enumerate_pruned(4, workers=10**6)
-    assert 1 <= seen["size"] <= seen["prefixes"]
+    assert 1 <= len(helpers) <= split(4)[1] - 1
     assert tables == enumerate_pruned(4, workers=1)
 
 
 def test_budget_covers_prefix_split(monkeypatch):
     # the split reads the clock before each of its assignments: a spent
-    # budget must stop the search before any worker starts
+    # budget must stop the search before any helper starts
     import multiprocessing
 
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool was created after the budget ran out")
+    def no_helper(*args, **kwargs):
+        pytest.fail("a helper process was created after the budget ran out")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_helper)
     with pytest.raises(BudgetError):
         enumerate_pruned(6, budget_ms=0, workers=2)
+
+
+def test_no_helper_outlives_a_run():
+    import multiprocessing
+
+    assert enumerate_pruned(5, workers=2) == enumerate_pruned(5, workers=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_helper_outlives_a_spent_budget_in_a_helper(monkeypatch, capsys):
+    # the clock is true in helpers, so each one raises BudgetError at its
+    # first assignment, and early in this process, whose first prefix
+    # waits for them to end, so that they draw prefixes and raise first
+    import multiprocessing
+
+    here, real = os.getpid(), time.monotonic
+    clock = SimpleNamespace(
+        monotonic=lambda: real() - 3600 if os.getpid() == here else real())
+    real_finish = enumeration._finish
+
+    def finish(task):
+        if os.getpid() == here:
+            waited = real() + 60
+            while multiprocessing.active_children() and real() < waited:
+                time.sleep(0.01)
+        return real_finish(task)
+
+    monkeypatch.setattr(enumeration, "time", clock)
+    monkeypatch.setattr(enumeration, "_finish", finish)
+    assert run(["enumerate", "--size", "5", "--up-to-iso", "--workers", "2",
+                "--budget-ms", "1000"]) == 3
+    assert "budget exceeded" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
+
+
+def test_no_helper_outlives_a_spent_budget_in_this_process(monkeypatch, capsys):
+    # the deadline passes in this process's first prefix while the helper
+    # is stuck in its own: the helper must be stopped, not waited for
+    import multiprocessing
+
+    here = os.getpid()
+    real_finish = enumeration._finish
+
+    def finish(task):
+        if os.getpid() != here:
+            time.sleep(60)
+        return real_finish(task)
+
+    monkeypatch.setattr(enumeration, "_finish", finish)
+    monkeypatch.setattr(enumeration, "time", early_then_late(1 + split(6)[0]))
+    started = time.monotonic()
+    assert run(["enumerate", "--size", "6", "--up-to-iso", "--workers", "2",
+                "--budget-ms", "1000"]) == 3
+    assert time.monotonic() - started < 30
+    assert "budget exceeded" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
+
+
+def test_helpers_run_under_the_spawn_start_method():
+    # macOS starts processes by spawn, and Python 3.14 defaults to
+    # forkserver on Linux: helpers then import the package afresh
+    script = (
+        "import multiprocessing\n"
+        "from pentagon import count_up_to_iso, enumerate_pruned\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "assert enumerate_pruned(4, workers=2) == enumerate_pruned(4)\n"
+        "assert count_up_to_iso(5, workers=2) == count_up_to_iso(5)\n"
+        "assert multiprocessing.active_children() == []\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def split_cells(cells):
@@ -543,7 +641,7 @@ def test_search_nodes_at_size_five(capsys):
     assert results["search_nodes"] == 1506
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 4])
 def test_search_nodes_at_size_six(workers):
     # 6,308 reading the second half one way only, 9,726 in the static
     # cell order, 957,188 with forced cells alone

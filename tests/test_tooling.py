@@ -44,7 +44,7 @@ def test_tracer_reads_workers_by_position_and_by_keyword():
 
 
 def test_module_entry_point_runs_the_worker_pool(capsys):
-    # a real interpreter runs __main__.py, and the pool starts real workers
+    # a real interpreter runs __main__.py, and --workers 2 starts a real helper
     argv = ["--json", "enumerate", "--size", "4", "--up-to-iso", "--workers", "2"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
