@@ -72,18 +72,13 @@ def retract(s: SolutionTable) -> RetractResult:
     n = s.size
     mul, th = derive_tables(s)
 
-    class_of = [-1] * n
-    members: list[list[int]] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for x in range(n):
-        c = seen.get(th[x])
-        if c is None:
-            c = len(members)
-            seen[th[x]] = c
-            members.append([])
-        class_of[x] = c
+    # theta row -> class, numbered in the order of the rows' least members
+    index: dict[tuple[int, ...], int] = {}
+    class_of = [index.setdefault(row, len(index)) for row in th]
+    k = len(index)
+    members: list[list[int]] = [[] for _ in range(k)]
+    for x, c in enumerate(class_of):
         members[c].append(x)
-    k = len(members)
 
     # the quotient multiplication collapses to the left factor: xy ~ x
     for x in range(n):
@@ -91,10 +86,12 @@ def retract(s: SolutionTable) -> RetractResult:
             if class_of[mul[x][y]] != class_of[x]:
                 raise ValidationError("quotient multiplication is not left zero")
 
+    # the members of class c1 share one theta row, so c1's image of c2 is
+    # read off that row alone
     entries = [None] * (k * k)
-    for c1, grp1 in enumerate(members):
+    for c1, row in enumerate(index):
         for c2, grp2 in enumerate(members):
-            vals = {class_of[th[x][y]] for x in grp1 for y in grp2}
+            vals = {class_of[row[y]] for y in grp2}
             if len(vals) != 1:
                 raise ValidationError("theta does not descend to the quotient")
             entries[c1 * k + c2] = (c1, vals.pop())
@@ -188,10 +185,8 @@ def classify(s: SolutionTable) -> ClassificationTriple:
         raise ValidationError("group part size is not a power of two")
     if num_idem % a_size:
         raise ValidationError("retract size does not divide the idempotent count")
-    x_size = num_idem // a_size
-    if x_size * a_size * g_size != n:
-        raise ValidationError("classification does not factor the size")
-    return ClassificationTriple(x_size, a_dim, g_dim)
+    # n = num_idem * g_size and num_idem = x_size * a_size, both exactly
+    return ClassificationTriple(num_idem // a_size, a_dim, g_dim)
 
 
 def is_isomorphic_invariant(s: SolutionTable, t: SolutionTable) -> bool:

@@ -233,7 +233,8 @@ _CONSTRUCTORS = {
 def load_solution(ref: str) -> SolutionTable:
     """A solution file path, or an inline expression.
 
-    Expressions: identity(n), irretractable(r), canonical(x,a,g).
+    Expressions: identity(n), irretractable(r), canonical(x,a,g); the
+    arguments are integers separated by commas, with optional spaces.
     """
     if os.path.exists(ref):
         with open(ref, encoding="ascii") as fh:
@@ -241,7 +242,10 @@ def load_solution(ref: str) -> SolutionTable:
     m = _EXPR.fullmatch(ref.strip())
     if not m:
         raise ParseError(f"no such file and not an expression: {ref!r}", 1)
-    args = [_parse_int(p, 1) for p in m.group(2).replace(",", " ").split()]
+    parts = [p.strip() for p in m.group(2).split(",")] if m.group(2).strip() else []
+    if not all(p.isdigit() for p in parts):
+        raise ParseError(f"arguments are not comma-separated integers: {ref!r}", 1)
+    args = [_parse_int(p, 1) for p in parts]
     constructor, arity, size = _CONSTRUCTORS.get(m.group(1), (None, -1, None))
     if len(args) != arity:
         raise ParseError(f"unknown constructor expression: {ref!r}", 1)
@@ -435,9 +439,9 @@ def _cmd_growth(args, report: _Report) -> int:
 
 
 def _cmd_order(args, report: _Report) -> int:
-    m = order_of(load_solution(args.solution), args.cap)
+    m = order_of(load_solution(args.solution))
     if m is None:
-        report.say(f"no order within cap {args.cap}", order=None)
+        report.say("no order: the table is not bijective", order=None)
         return 1
     report.say(f"order {m}", order=m)
     return 0
@@ -520,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="order of the table as a map on pairs")
     p.set_defaults(handler=_cmd_order)
     p.add_argument("solution", help=sol_help)
-    p.add_argument("--cap", type=int, default=64)
 
     return parser
 

@@ -273,17 +273,12 @@ def check_cocommutative(s: SolutionTable) -> bool:
     return check_commutative(flip_conjugate(s))
 
 
-def order_of(s: SolutionTable, cap: int) -> Optional[int]:
-    """Smallest m <= cap with s^m = id, None if there is none.
-
-    None covers both non-bijective tables and orders beyond the cap.
-    """
-    if cap < 1:
-        raise ValidationError("cap must be at least 1")
+def order_of(s: SolutionTable) -> Optional[int]:
+    """Smallest m >= 1 with s^m = id, read off the cycle type of s on pairs;
+    None exactly when s is not bijective."""
     if not check_bijective(s):
         return None
-    m = perm_order(s.flat())
-    return m if m <= cap else None
+    return perm_order(s.flat())
 
 
 def is_morphism(f: Sequence[int], s: SolutionTable, t: SolutionTable) -> bool:

@@ -87,6 +87,48 @@ def test_retract_classes_have_equal_sizes():
         assert sum(res.class_sizes) == s.size
 
 
+def _theta_table(mul, theta):
+    """The table s(x, y) = (x·y, theta_x(y))."""
+    n = len(mul)
+    return SolutionTable(
+        n, tuple((mul[x][y], theta[x][y]) for x in range(n) for y in range(n))
+    )
+
+
+def test_retract_checks_that_its_quotient_is_well_defined(monkeypatch):
+    # no solution fails these checks, so the solution check is patched out
+    monkeypatch.setattr(analysis, "_require_involutive_solution", lambda s, op: None)
+    left = ((0, 0, 0), (1, 1, 1), (2, 2, 2))  # x·y = x
+    cases = [
+        (((1, 0), (1, 1)), ((0, 1), (1, 0)), "quotient multiplication is not left zero"),
+        (left, ((0, 1, 2), (0, 1, 2), (2, 0, 1)), "theta does not descend to the quotient"),
+        (left, ((0, 1, 2), (0, 1, 2), (1, 0, 2)), "retract classes have unequal sizes"),
+    ]
+    for mul, theta, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            retract(_theta_table(mul, theta))
+
+
+def test_classify_checks_the_sizes_it_reads(monkeypatch):
+    # each case pairs a table with a crafted retract of the given size
+    constant = ((0, 0, 0),) * 3  # one idempotent among three elements
+    two_idempotents = ((0, 0, 0), (1, 1, 1), (0, 0, 0))
+    same = ((0, 1, 2),) * 3
+    cases = [
+        (identity_solution(3), 3, "retract size is not a power of two"),
+        (_theta_table(two_idempotents, same), 1, "idempotent count does not divide the size"),
+        (_theta_table(constant, same), 1, "group part size is not a power of two"),
+        (identity_solution(1), 2, "retract size does not divide the idempotent count"),
+    ]
+    for s, a_size, message in cases:
+        quotient = identity_solution(a_size)
+        monkeypatch.setattr(
+            analysis, "retract", lambda s, q=quotient: analysis.RetractResult(q, (), ())
+        )
+        with pytest.raises(ValidationError, match=message):
+            classify(s)
+
+
 def test_is_irretractable():
     assert is_irretractable(irretractable_solution(2))
     assert not is_irretractable(identity_solution(2))
@@ -218,7 +260,7 @@ def test_simple_for_bijective_finite_order_solutions():
         assert oracles.check_simple(MultTable(s.size, mult))
     for n in (1, 2, 3, 4):
         for s in enumerate_pruned(n):
-            assert order_of(s, 24) is not None
+            assert order_of(s) is not None
             mult, _ = derive_tables(s)
             assert oracles.check_simple(MultTable(s.size, mult))
 

@@ -222,8 +222,14 @@ def test_load_solution_expressions():
     assert load_solution("identity(3)") == identity_solution(3)
     assert load_solution("irretractable(2)") == irretractable_solution(2)
     assert load_solution("canonical(3,1,1)") == canonical_solution(3, 1, 1)
+    assert load_solution("canonical(3, 1, 1)") == canonical_solution(3, 1, 1)
     with pytest.raises(ParseError):
         load_solution("mystery(1)")
+    # an empty argument, or two integers without a comma, is malformed
+    for ref in ("canonical(1,,2,3)", "canonical(1 2 3)", "identity(,5)", "identity(5,)"):
+        with pytest.raises(ParseError, match="not comma-separated integers"):
+            load_solution(ref)
+        assert run(["classify", ref]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +457,29 @@ def test_sigma_search_size_is_capped_before_any_permutation(capsys):
     assert run(["sigma-search", "--n", "4"]) == 0
 
 
-def test_order_command(capsys):
-    assert run(["order", f"{GOLDEN}/cycle_1432_c2.solution", "--cap", "8"]) == 0
+def test_order_command(tmp_path, capsys):
+    assert run(["order", f"{GOLDEN}/cycle_1432_c2.solution"]) == 0
     assert "order 4" in capsys.readouterr().out
-    assert run(["order", f"{GOLDEN}/cycle_1432_c2.solution", "--cap", "3"]) == 1
+    # a table that is not a bijection has no order
+    from pentagon import SolutionTable
+
+    path = tmp_path / "constant.solution"
+    path.write_text(emit_solution(SolutionTable(2, ((0, 0),) * 4)))
+    assert run(["order", str(path)]) == 1
+    assert "not bijective" in capsys.readouterr().out
+    assert run(["--json", "order", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["results"] == {"order": None}
 
 
-def test_order_command_is_bounded_by_the_table_not_the_cap(tmp_path, capsys):
-    # the order is about 3e14, so stepping powers up to the cap would run
-    # for hours; the answer comes from the cycle type instead
+def test_order_command_is_bounded_by_the_table(tmp_path, capsys):
+    # the order is about 3e14, so stepping powers would run for hours;
+    # the answer comes from the cycle type instead
     path = tmp_path / "primes.solution"
     path.write_text(emit_solution(prime_cycles_table()))
     started = time.monotonic()
-    assert run(["order", str(path), "--cap", "1000000000"]) == 1
+    assert run(["order", str(path)]) == 0
     assert time.monotonic() - started < 5
-    assert "no order within cap 1000000000" in capsys.readouterr().out
+    assert "order 304250263527210" in capsys.readouterr().out
 
 
 def test_json_report_schema(capsys):
@@ -543,7 +557,7 @@ COMMANDS = [
     ["verify", "--axioms", "pe,involutive"],
     ["classify"],
     ["retract"],
-    ["order", "--cap", "4"],
+    ["order"],
     ["growth", "--length", "3"],
     ["isomorphic", "identity(2)"],
     ["product", "identity(2)"],

@@ -118,7 +118,7 @@ def test_order_of_group_solution_equals_exponent():
         assert g.size <= 8
         s = group_solution(g)
         assert check_pentagon(s)
-        assert order_of(s, g.exponent) == g.exponent
+        assert order_of(s) == g.exponent
 
 
 def test_group_solution_entries():
@@ -131,7 +131,7 @@ def test_group_solution_c4():
     s = group_solution(cyclic_group(4))
     assert check_pentagon(s)
     assert not check_involutive(s)
-    assert order_of(s, 8) == 4
+    assert order_of(s) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def test_cycle_solution_concrete():
     s = cycle_solution((3, 0, 1, 2), cyclic_group(2))
     assert s.size == 8
     assert check_pentagon(s)
-    assert order_of(s, 8) == 4
+    assert order_of(s) == 4
 
 
 def test_cycle_solution_trivial():
@@ -453,7 +453,7 @@ def test_cycle_order_formula():
             for g in (trivial_group(), cyclic_group(2), cyclic_group(4)):
                 s = cycle_solution(sigma, g)
                 expected = _lcm(perm_order(sigma), g.exponent)
-                assert order_of(s, expected) == expected
+                assert order_of(s) == expected
 
 
 def _lcm(a, b):
