@@ -7,10 +7,12 @@ nodes (class at length ell-1, last letter), whose roots are the least
 members of their sets and hold a negative parent.  That is exact because
 a rewrite either stays inside the prefix, where the previous stratum
 already resolved it, or touches the boundary, which the node encoding
-sees directly.  Past length 2 only the relations that merged two sets at
-length 2, where the nodes are the letter pairs, are applied: they span
-the relation graph on pairs, so any other relation joins two words that
-their images already join.  The same strata give the counts and the
+sees directly.  Past length 2 the relations are applied as blocks, the
+classes of letter pairs at length 2: after each class of length ell-2,
+every block with two or more pairs is joined whole as one union star.
+The blocks join the same words as the relations: the two pairs of a
+relation lie in one block, and the pairs of a block are linked by a
+chain of relations.  The same strata give the counts and the
 least word of every class.
 """
 
@@ -38,6 +40,8 @@ class MonoidPresentation:
     relations: tuple[tuple[Word, Word], ...]
 
     def __post_init__(self):
+        if self.generators < 1:
+            raise ValidationError("generators must be at least 1")
         for lhs, rhs in self.relations:
             if len(lhs) != 2 or len(rhs) != 2:
                 raise ValidationError("relations must pair words of length 2")
@@ -92,11 +96,14 @@ def _strata(
     if word_budget < 0:
         raise ValidationError("word budget must be non-negative")
     n = pres.generators
-    rels = [(a, b, c, d) for (a, b), (c, d) in pres.relations if (a, b) != (c, d)]
+    # a block is a set of letter pairs to join, as its first pair and the
+    # rest; at length 2 each relation is the block of its two sides
+    blocks = [
+        (a, b, ((c, d),)) for (a, b), (c, d) in pres.relations if (a, b) != (c, d)
+    ]
     strata = [array("i", [0])]
     q_prev = array("i")  # node at ell-1  ->  class at ell-1
     c_prev2 = 0
-    forest = []
     for ell in range(1, length + 1):
         c_prev = len(strata[-1])
         nodes = c_prev * n
@@ -105,48 +112,51 @@ def _strata(
                 f"{nodes} stratum nodes exceed the budget of {word_budget}"
             )
         # union-find over the nodes, -1 at a root; the larger root is linked
-        # under the smaller, so every root is the least member of its class
-        parent = array("i", [-1]) * nodes
+        # under the smaller, so every root is the least member of its class.
+        # Each block is joined as a star: the first pair's root, lowered to
+        # every smaller root met, takes in the roots of the other pairs.
+        parent = [-1] * nodes
         for base in range(0, c_prev2 * n, n):
             row = [q * n for q in q_prev[base:base + n]]
-            for a, b, c, d in rels:
-                u = row[a] + b
-                while (p := parent[u]) >= 0:
+            for a, b, rest in blocks:
+                r = row[a] + b
+                while (p := parent[r]) >= 0:
                     if (g := parent[p]) < 0:
-                        u = p
+                        r = p
                         break
-                    parent[u] = g
-                    u = g
-                v = row[c] + d
-                while (p := parent[v]) >= 0:
-                    if (g := parent[p]) < 0:
-                        v = p
-                        break
-                    parent[v] = g
-                    v = g
-                if u < v:
-                    parent[v] = u
-                elif v < u:
-                    parent[u] = v
-                else:
-                    continue
-                if ell == 2:
-                    forest.append((a, b, c, d))
-        if ell == 2:
-            # a spanning forest of the relation graph on pairs a*n + b
-            rels = forest
-        # a non-root's parent is a smaller node of its class, labelled already
+                    parent[r] = g
+                    r = g
+                for c, d in rest:
+                    v = row[c] + d
+                    while (p := parent[v]) >= 0:
+                        if (g := parent[p]) < 0:
+                            v = p
+                            break
+                        parent[v] = g
+                        v = g
+                    if v < r:
+                        parent[r] = v
+                        r = v
+                    elif r < v:
+                        parent[v] = r
+        # label in place: a non-root's parent is a smaller node of its
+        # class, whose entry already holds the class label
         firsts = array("i")
-        q_new = array("i", bytes(4 * nodes))
-        for w in range(nodes):
-            r = parent[w]
+        for w, r in enumerate(parent):
             if r < 0:
-                q_new[w] = len(firsts)
+                parent[w] = len(firsts)
                 firsts.append(w)
             else:
-                q_new[w] = q_new[r]
+                parent[w] = parent[r]
+        if ell == 2:
+            # past length 2 the blocks are the classes of pairs a*n + b,
+            # least pair first; singletons join nothing
+            members = [[] for _ in firsts]
+            for pair, label in enumerate(parent):
+                members[label].append(divmod(pair, n))
+            blocks = [(a, b, tuple(rest)) for (a, b), *rest in members if rest]
         strata.append(firsts)
-        q_prev = q_new
+        q_prev = array("i", parent)
         c_prev2 = c_prev
     return strata
 

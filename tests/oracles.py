@@ -17,9 +17,14 @@ search does.
 helpers that only the tests call: a non-abelian group for the
 constructor panels, the simplicity of the left groups that solutions
 carry, and literal powers of a permutation.
+
+`growth_tail_oracle` is a conjectured closed form, not a reference
+route: it lets the growth tests reach sizes and lengths that the dense
+closure cannot.
 """
 
 from itertools import permutations
+from math import comb
 from typing import Optional, Sequence
 
 from pentagon import (
@@ -295,6 +300,24 @@ def presentation_growth_oracle(generators: int, relations, length: int) -> tuple
         len(set(_dense_closure(generators, relations, ell)))
         for ell in range(length + 1)
     )
+
+
+def growth_tail_oracle(x: int, a: int, g: int, length: int) -> int:
+    """Conjectured class count of canonical(x, a, g) at a length past a + g.
+
+    N(a + g) * C(length + x - 1, x - 1), where N(d) counts the subspaces
+    of F_2^d, summed over their dimensions k as Gaussian binomials.
+    Not stated in the paper: a closed form the tests check, not a route.
+    """
+    d = a + g
+    subspaces = 0
+    for k in range(d + 1):
+        num = den = 1
+        for i in range(k):
+            num *= 2 ** (d - i) - 1
+            den *= 2 ** (i + 1) - 1
+        subspaces += num // den
+    return subspaces * comb(length + x - 1, x - 1)
 
 
 def normal_forms_oracle(s: SolutionTable, length: int) -> list:

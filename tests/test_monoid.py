@@ -16,6 +16,7 @@ from pentagon import (
     normal_forms,
     presentation_of,
     rank_expected,
+    relabel,
     series_from_presentation,
 )
 from pentagon.monoid import MAX_GROWTH_LENGTH, MonoidPresentation
@@ -92,12 +93,51 @@ def test_growth_engines_agree():
     ],
 )
 def test_growth_pinned_on_benchmark_inputs(triple, counts):
-    # fixed inputs that catch a broken find or link in the stratum
-    # union-find without hypothesis's help; the dense oracle reaches length 3
+    # fixed inputs that catch a broken find or link in the union stars
+    # that join each block of pairs per class, without hypothesis's help;
+    # the dense oracle reaches length 3
     s = canonical_solution(*triple)
     assert growth_series(s, len(counts) - 1).counts == counts
     assert growth_series(s, 3).counts == oracles.growth_oracle(s, 3) == counts[:4]
     assert normal_forms(s, 3) == oracles.normal_forms_oracle(s, 3)
+
+
+def test_growth_tail_on_every_shape_up_to_size_16(rng):
+    # the conjectured tail c(ell) = N(a+g) * C(ell+x-1, x-1) from length
+    # a+g+1 on, on each canonical shape and one relabelling of it
+    shapes = [
+        (x, a, g)
+        for x in range(1, 17)
+        for a in range(5)
+        for g in range(5)
+        if x << (a + g) <= 16
+    ]
+    assert len(shapes) == 57
+    for x, a, g in shapes:
+        s = canonical_solution(x, a, g)
+        perm = list(range(s.size))
+        rng.shuffle(perm)
+        lengths = range(a + g + 1, a + g + 4)
+        want = tuple(oracles.growth_tail_oracle(x, a, g, ell) for ell in lengths)
+        for t in (s, relabel(s, perm)):
+            assert growth_series(t, lengths[-1]).counts[lengths[0]:] == want
+
+
+def test_union_star_lowers_its_running_root():
+    # the blocks are 00 ~ 02 and 10 ~ 20 ~ 21.  At length 3 after the
+    # letter 0, node c * 3 + x is class c of length 2, then letter x: the
+    # block of 10 meets 010 at node 3 first, then 020 at node 0 (020 = 000),
+    # a smaller root, then 021 at node 1, which must join node 0, not 3
+    rels = (((1, 0), (2, 0)), ((1, 0), (2, 1)), ((0, 2), (0, 0)))
+    counts = series_from_presentation(MonoidPresentation(3, rels), 5).counts
+    assert counts == oracles.presentation_growth_oracle(3, rels, 5)
+    assert counts == (1, 3, 6, 10, 16, 25)
+
+
+@pytest.mark.parametrize("generators", [0, -1])
+def test_presentation_needs_a_generator(generators):
+    with pytest.raises(ValidationError):
+        MonoidPresentation(generators, ())
 
 
 def test_growth_series_budget():
