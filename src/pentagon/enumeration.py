@@ -3,7 +3,8 @@
 One backtracking search interleaves the pentagon checks with the
 assignment of entries, in a symmetry-broken cell order that reaches at
 least one table of every isomorphism class; relabelling those tables by
-every permutation of the carrier then gives every table.  After each
+every permutation of the carrier then gives every table.  It starts from
+s(0,0) = (0,0), a fixed point that every class has a table with.  After each
 assignment a propagator closes the partial table under the equation:
 the first coordinates form an associative table, so the search keeps a
 layer F of first coordinates known before their cells are; the half
@@ -54,8 +55,16 @@ class EnumerationReport:
 # mentioned so far by an assigned cell or by the current cell's indices;
 # the mentioned elements are always 0..m, the others interchangeable, so
 # only values (k, l) with k <= m+1 and l <= max(m, k)+1 are tried: every
-# solution has a relabelling that the search reaches.  Within that order
-# the search fails first, as SEM and Mace4 (McCune, 2003) do: the next
+# solution has a relabelling that the search reaches.
+#
+# The search starts from s(0,0) = (0,0) with m = 0 (`_root`).  Every
+# class has a table there: the first coordinates form a finite semigroup,
+# so some e is idempotent, some power of any element being one.  With
+# s(e,e) = (e,f), the equation at (x,y,z) = (e,e,e) has a = u = c = p = e
+# and b = d = q = v = f (in `_propagate`'s names), so it reads
+# s(f,f) = (f,f); relabelling f to 0 keeps the least-number order, which
+# only permutes the elements above m.  Within that order the search fails
+# first, as SEM and Mace4 (McCune, 2003) do: the next
 # cell is the first unassigned one whose F is known, with at most m + 2
 # values, and the first unassigned one only when there is none.
 #
@@ -84,7 +93,7 @@ class EnumerationReport:
 # split stopped and the node count does not depend on the worker count.
 # With `workers` > 1 the calling process finishes prefixes too, beside
 # workers - 1 helper processes; each process draws the next prefix from
-# one shared counter, since the largest prefix holds 41-50% of the nodes
+# one shared counter, since the largest prefix holds 30-45% of the nodes
 # at sizes 5-8 and a fixed share per process would leave the others idle.
 # The deadline `at` is a point on the monotonic clock (inf without a
 # budget), read before every assignment.
@@ -93,6 +102,15 @@ class EnumerationReport:
 def _cell_order(n: int) -> list[int]:
     """Cell indices i * n + j in (max(i, j), i, j) order."""
     return sorted(range(n * n), key=lambda p: (max(divmod(p, n)), p))
+
+
+def _root(n: int) -> tuple[list[int], list[int], int]:
+    """The closed state the search starts from, as a prefix (F, T, m):
+    s(0,0) = (0,0), its own partner, and nothing else.  The only triple
+    it reads is (0,0,0), which holds, so the closure writes nothing."""
+    F, T = [-1] * (n * n), [-1] * (n * n)
+    F[0] = T[0] = 0
+    return F, T, 0
 
 
 def _complete(n: int, F: list[int], T: list[int], w: int, l: int) -> bool:
@@ -319,9 +337,9 @@ def _orbits(
         raise ValidationError("budget_ms must be a finite number, 0 or more")
     at = inf if budget_ms is None else time.monotonic() + budget_ms / 1000
     order = _cell_order(n)
+    F, T, m = _root(n)
     prefixes: list[tuple] = []
-    nodes = _search(n, [-1] * (n * n), [-1] * (n * n), order, 0, -1, at,
-                    prefixes, depth=2)
+    nodes = _search(n, F, T, order, 0, m, at, prefixes, depth=2)
     results = _finish_all([(order, prefix, at) for prefix in prefixes], workers)
     nodes += sum(tried for _, tried in results)
     tables = [t for chunk, _ in results for t in chunk]

@@ -164,11 +164,12 @@ def early_then_late(early_reads):
 
 
 def split(n):
-    """The assignments the depth-2 split of the size-n search tries, and
-    the prefixes it emits."""
+    """The assignments the depth-2 split of the size-n search tries from
+    its root, and the prefixes it emits."""
+    F, T, m = enumeration._root(n)
     prefixes = []
-    nodes = enumeration._search(n, [-1] * (n * n), [-1] * (n * n),
-                                _cell_order(n), 0, -1, inf, prefixes, depth=2)
+    nodes = enumeration._search(n, F, T, _cell_order(n), 0, m, inf, prefixes,
+                                depth=2)
     return nodes, len(prefixes)
 
 
@@ -193,7 +194,7 @@ def test_budget_is_checked_inside_each_prefix(monkeypatch, workers):
 
 def test_search_stops_at_the_first_assignment_after_the_deadline(monkeypatch):
     # the clock is read before every assignment, so a deadline that passes
-    # after 200 of them stops the size-6 search (4,962 assignments) there
+    # after 200 of them stops the size-6 search (3,495 assignments) there
     calls = 0
     real_propagate = enumeration._propagate
 
@@ -628,24 +629,67 @@ def test_canonical_form_refuses_carriers_above_its_bound(monkeypatch):
     assert calls == []
 
 
+def test_every_table_has_a_fixed_point_where_the_search_starts(rng):
+    # the search starts at s(0,0) = (0,0).  The first coordinates form a
+    # finite semigroup, so some e is idempotent, and with s(e,e) = (e,f)
+    # the equation at (e,e,e) reads s(f,f) = (f,f).  Checked on the
+    # row-major solutions, which use neither the propagator nor the
+    # symmetry breaking, and on a relabelling of every canonical shape
+    # with |S| <= 16
+    tables = [s for n in range(1, 5) for s in oracles.row_major_tables(n)]
+    assert len(tables) == 64
+    shapes = [(x, a, g) for x in range(1, 17) for a in range(5)
+              for g in range(5) if x << (a + g) <= 16]
+    assert len(shapes) == 57
+    for shape in shapes:
+        s = canonical_solution(*shape)
+        perm = list(range(s.size))
+        rng.shuffle(perm)
+        tables.append(relabel(s, perm))
+    for s in tables:
+        n, cells = s.size, s.entries
+        idempotents = [e for e in range(n) if cells[e * n + e][0] == e]
+        assert idempotents, s
+        for e in idempotents:
+            f = cells[e * n + e][1]
+            assert cells[f * n + f] == (f, f), (s, e)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_search_emits_only_tables_with_the_fixed_point(monkeypatch, n):
+    emitted = []
+    finish = enumeration._finish
+
+    def spy(task):
+        tables, nodes = finish(task)
+        emitted.extend(tables)
+        return tables, nodes
+
+    monkeypatch.setattr(enumeration, "_finish", spy)
+    assert count_up_to_iso(n).raw_count == RAW_COUNTS[n]
+    assert emitted and all(cells[0] == (0, 0) for cells in emitted)
+
+
 def test_search_nodes_at_size_five(capsys):
-    # assignments tried by the symmetry-broken search with propagated
-    # first coordinates, the second half read both ways and the
-    # fail-first cell choice; reading it one way only it tried 1,839, in
-    # the static cell order 2,420, with forced cells alone 27,389, and the
-    # row-major search without either 354,259
-    assert count_up_to_iso(5).nodes == 1506
+    # assignments tried by the symmetry-broken search from s(0,0) = (0,0)
+    # with propagated first coordinates, the second half read both ways
+    # and the fail-first cell choice.  From the empty table it tried
+    # 1,506; reading the second half one way only 1,839, in the static
+    # cell order 2,420, with forced cells alone 27,389, and the row-major
+    # search without either 354,259
+    assert count_up_to_iso(5).nodes == 1098
     assert run(["--json", "enumerate", "--size", "5", "--up-to-iso",
                 "--workers", "2"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results["search_nodes"] == 1506
+    assert results["search_nodes"] == 1098
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_search_nodes_at_size_six(workers):
-    # 6,308 reading the second half one way only, 9,726 in the static
-    # cell order, 957,188 with forced cells alone
-    assert count_up_to_iso(6, workers=workers).nodes == 4962
+    # from the empty table 4,962, and there 6,308 reading the second half
+    # one way only, 9,726 in the static cell order, 957,188 with forced
+    # cells alone
+    assert count_up_to_iso(6, workers=workers).nodes == 3495
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -654,9 +698,9 @@ def test_size_seven_is_one_class(workers):
     report = count_up_to_iso(7, workers=workers)
     assert (report.raw_count, report.class_count) == (1, 1)
     assert report.class_triples == ((7, 0, 0),)
-    # 14,164 reading the second half one way only, 28,606 in the static
-    # cell order
-    assert report.nodes == 11000
+    # from the empty table 11,000, and there 14,164 reading the second
+    # half one way only, 28,606 in the static cell order
+    assert report.nodes == 8025
 
 
 # raw tables and class triples at sizes 1..7, as the search in the
@@ -706,17 +750,18 @@ def test_cells_with_a_known_first_coordinate_mention_no_new_element(
 
 
 def test_the_search_reaches_every_class_at_size_eight():
-    # past the public cap: the search on empty layers finds 302 complete
-    # tables, and between them the ten classes of 8 = 2^3, in 19,479
-    # assignments (27,237 reading the second half one way only)
+    # past the public cap: the search from the root `_orbits` starts at
+    # finds 196 complete tables, and between them the ten classes of
+    # 8 = 2^3, in 14,664 assignments (from the empty table 302 tables in
+    # 19,479, and 27,237 reading the second half one way only)
+    F, T, m = enumeration._root(8)
     out = []
-    order = _cell_order(8)
-    nodes = enumeration._search(8, [-1] * 64, [-1] * 64, order, 0, -1,
-                                float("inf"), out)
-    assert len(out) == 302
-    assert nodes == 19479
+    nodes = enumeration._search(8, F, T, _cell_order(8), 0, m, inf, out)
+    assert len(out) == 196
+    assert nodes == 14664
     triples = set()
     for cells in out:
+        assert cells[0] == (0, 0)
         s = SolutionTable(8, cells)
         assert check_pentagon(s) and check_involutive(s)
         c = classify(s)

@@ -87,6 +87,14 @@ def test_readme_command_examples_run(tmp_path, monkeypatch):
         assert run(shlex.split(line)[1:]) == 0, line
 
 
+def test_readme_quotes_the_search_node_counts():
+    # README wraps its lines, so whitespace is collapsed before comparing
+    text = " ".join((ROOT / "README.md").read_text().split())
+    for n in (5, 6, 7):
+        quoted = f"{enumeration.count_up_to_iso(n).nodes:,} at size {n}"
+        assert quoted in text, quoted
+
+
 def test_expression_builders_are_reached_by_name(monkeypatch):
     # the tracer rebinds module attributes, so `load_solution` must look
     # each builder up when it runs, not hold the object from import time
