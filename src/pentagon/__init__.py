@@ -48,7 +48,6 @@ from .constructors import (
     xor_group,
 )
 from .analysis import (
-    ClassificationTriple,
     LeftGroupDecomposition,
     RetractResult,
     abelian_structure,

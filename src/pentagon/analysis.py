@@ -25,7 +25,7 @@ from .core import (
     derive_tables,
     is_morphism,
 )
-from .constructors import GroupTable, group_from_cayley
+from .constructors import Decomposition, GroupTable, group_from_cayley
 
 @dataclass(frozen=True)
 class RetractResult:
@@ -34,15 +34,6 @@ class RetractResult:
     quotient: SolutionTable
     class_of: tuple[int, ...]
     class_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ClassificationTriple:
-    """The complete isomorphism invariant (|X|, log2 |A|, log2 |G|)."""
-
-    x_size: int
-    a_dim: int
-    g_dim: int
 
 
 @dataclass(frozen=True)
@@ -142,14 +133,13 @@ def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
     n = m.size
     rows = m.rows
     idem = idempotents(m)
-    if not idem:
-        return None
     # left simple: Sx = S for every x
     full = set(range(n))
     for x in range(n):
         if {rows[y][x] for y in range(n)} != full:
             return None
 
+    # some power of any element of a finite semigroup is idempotent
     e = idem[0]
     part = sorted({rows[rows[e][x]][e] for x in range(n)})
     index = {v: i for i, v in enumerate(part)}
@@ -163,34 +153,31 @@ def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
     return LeftGroupDecomposition(idem, group)
 
 
-def classify(s: SolutionTable) -> ClassificationTriple:
-    """Invariant (|X|, log2 |A|, log2 |G|) of an involutive solution.
+def classify(s: SolutionTable) -> Decomposition:
+    """The shape X x A x G of an involutive solution, sigma left out.
 
-    |A| is the retract size, |G| is |S| / |E(S)|, and |X| makes the
-    product come out to |S|; both logs are checked to be exact.
+    |A| is the retract size, |X| the idempotent count over |A|, and |G|
+    the size over the idempotent count.  Each factor is read with a floor,
+    so the shape's size is |S| only when every quotient and log is exact.
     """
-    ret = retract(s)
     n = s.size
+    a_size = retract(s).quotient.size
     num_idem = sum(s.apply(x, x)[0] == x for x in range(n))
-
-    a_size = ret.quotient.size
-    a_dim = a_size.bit_length() - 1
-    if 1 << a_dim != a_size:
-        raise ValidationError("retract size is not a power of two")
-    if n % num_idem:
-        raise ValidationError("idempotent count does not divide the size")
-    g_size = n // num_idem
-    g_dim = g_size.bit_length() - 1
-    if 1 << g_dim != g_size:
-        raise ValidationError("group part size is not a power of two")
-    if num_idem % a_size:
-        raise ValidationError("retract size does not divide the idempotent count")
-    # n = num_idem * g_size and num_idem = x_size * a_size, both exactly
-    return ClassificationTriple(num_idem // a_size, a_dim, g_dim)
+    shape = Decomposition(
+        num_idem // a_size,
+        a_size.bit_length() - 1,
+        (n // num_idem).bit_length() - 1,
+    )
+    if shape.size != n:
+        raise ValidationError(
+            f"shape ({shape.x_size}, {shape.a_dim}, {shape.g_dim}) "
+            f"has size {shape.size}, not {n}"
+        )
+    return shape
 
 
 def is_isomorphic_invariant(s: SolutionTable, t: SolutionTable) -> bool:
-    """Whether the classification triples agree: isomorphism by the theorem.
+    """Whether the `classify` shapes agree: isomorphism by the theorem.
 
     It gives no map; `isomorphic` uses `find_isomorphism`, which does.
     """

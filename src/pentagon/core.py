@@ -71,6 +71,8 @@ class MultTable:
 
     def __post_init__(self):
         n = self.size
+        if n < 1:
+            raise ValidationError("carrier size must be at least 1")
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValidationError("multiplication table has wrong shape")
         if any(not 0 <= v < n for r in self.rows for v in r):

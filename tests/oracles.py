@@ -18,6 +18,10 @@ helpers that only the tests call: a non-abelian group for the
 constructor panels, the simplicity of the left groups that solutions
 carry, and literal powers of a permutation.
 
+`classification_oracle` keeps the four divisibility and power-of-two
+checks through which `classify` once rebuilt a shape from its counts, as
+the reference for the single size check that replaced them.
+
 `growth_tail_oracle` is a conjectured closed form, not a reference
 route: it lets the growth tests reach sizes and lengths that the dense
 closure cannot.
@@ -184,6 +188,23 @@ def order_oracle(s: SolutionTable, cap: int):
             return m
         cur = compose(smap, cur)
     return None
+
+
+def classification_oracle(n: int, a_size: int, num_idem: int) -> Optional[tuple]:
+    """The shape (x, a, g) that a size, a retract size and an idempotent
+    count give, or None: both logs exact and both quotients whole."""
+    a_dim = a_size.bit_length() - 1
+    if 1 << a_dim != a_size:
+        return None
+    if n % num_idem:
+        return None
+    g_size = n // num_idem
+    g_dim = g_size.bit_length() - 1
+    if 1 << g_dim != g_size:
+        return None
+    if num_idem % a_size:
+        return None
+    return (num_idem // a_size, a_dim, g_dim)
 
 
 def morphism_oracle(f, s: SolutionTable, t: SolutionTable) -> bool:

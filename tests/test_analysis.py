@@ -109,22 +109,46 @@ def test_retract_checks_that_its_quotient_is_well_defined(monkeypatch):
             retract(_theta_table(mul, theta))
 
 
+def _with_idempotents(n, count):
+    """A table on n elements whose first coordinate fixes exactly 0..count-1
+    on the diagonal."""
+    return SolutionTable(
+        n, tuple((x if x < count else 0, y) for x in range(n) for y in range(n))
+    )
+
+
 def test_classify_checks_the_sizes_it_reads(monkeypatch):
-    # each case pairs a table with a crafted retract of the given size
+    # a patched retract of the given size stands in for the real one; the
+    # oracle's four checks decide each verdict on the grid
+    def patch_retract(a_size):
+        quotient = identity_solution(a_size)
+        monkeypatch.setattr(
+            analysis, "retract", lambda s: analysis.RetractResult(quotient, (), ())
+        )
+
+    for n in range(1, 13):
+        for a_size in range(1, n + 2):
+            patch_retract(a_size)
+            for count in range(1, n + 1):
+                s = _with_idempotents(n, count)
+                shape = oracles.classification_oracle(n, a_size, count)
+                if shape is None:
+                    with pytest.raises(ValidationError):
+                        classify(s)
+                else:
+                    assert classify(s) == Decomposition(*shape), (n, a_size, count)
+
     constant = ((0, 0, 0),) * 3  # one idempotent among three elements
     two_idempotents = ((0, 0, 0), (1, 1, 1), (0, 0, 0))
     same = ((0, 1, 2),) * 3
     cases = [
-        (identity_solution(3), 3, "retract size is not a power of two"),
-        (_theta_table(two_idempotents, same), 1, "idempotent count does not divide the size"),
-        (_theta_table(constant, same), 1, "group part size is not a power of two"),
-        (identity_solution(1), 2, "retract size does not divide the idempotent count"),
+        (identity_solution(3), 3, r"shape \(1, 1, 0\) has size 2, not 3"),
+        (_theta_table(two_idempotents, same), 1, r"shape \(2, 0, 0\) has size 2, not 3"),
+        (_theta_table(constant, same), 1, r"shape \(1, 0, 1\) has size 2, not 3"),
+        (identity_solution(1), 2, "x_size must be at least 1"),
     ]
     for s, a_size, message in cases:
-        quotient = identity_solution(a_size)
-        monkeypatch.setattr(
-            analysis, "retract", lambda s, q=quotient: analysis.RetractResult(q, (), ())
-        )
+        patch_retract(a_size)
         with pytest.raises(ValidationError, match=message):
             classify(s)
 
@@ -406,6 +430,30 @@ def test_find_isomorphism_maps_every_shape_to_its_canonical_solution():
         if n in last_of_size:
             assert find_isomorphism(s, last_of_size[n]) is None, (x, a, g)
         last_of_size[n] = target
+
+
+def test_classify_gives_the_shape_that_rebuilds_the_solution():
+    # the classification theorem as a round trip: a twisted, relabelled
+    # solution is isomorphic to the untwisted one built from its shape
+    rng = random.Random(32)
+    shapes = [
+        (x, a, g)
+        for a in range(6)
+        for g in range(6 - a)
+        for x in range(1, (32 >> (a + g)) + 1)
+    ]
+    for x, a, g in shapes:
+        sigma = SigmaMap(
+            x, a, tuple(tuple(rng.sample(range(x), x)) for _ in range(1 << a))
+        )
+        twisted = decomposition_solution(Decomposition(x, a, g, sigma))
+        n = twisted.size
+        s = relabel(twisted, rng.sample(range(n), n))
+        shape = classify(s)
+        assert shape == Decomposition(x, a, g), (x, a, g)
+        rebuilt = decomposition_solution(shape)
+        f = find_isomorphism(s, rebuilt)
+        assert f is not None and is_morphism(f, s, rebuilt), (x, a, g)
 
 
 def test_find_isomorphism_maps_a_relabelled_solution_of_size_1024():

@@ -497,6 +497,9 @@ def test_table_validation():
         SolutionTable(2, ((0, 0), (0, 2), (1, 0), (1, 1)))
     with pytest.raises(ValidationError):
         MultTable(2, ((0, 0),))
+    # as for SolutionTable: a non-empty finite semigroup has an idempotent
+    with pytest.raises(ValidationError, match="carrier size must be at least 1"):
+        MultTable(0, ())
     with pytest.raises(ValidationError):
         Bijection((0, 0))
 

@@ -13,7 +13,7 @@ import pytest
 
 from pentagon import (
     BudgetError,
-    ClassificationTriple,
+    Decomposition,
     SolutionTable,
     ValidationError,
     canonical_form,
@@ -606,7 +606,7 @@ def test_classify_runs_once_per_class(monkeypatch):
 
 def test_two_classes_with_one_triple_raise(monkeypatch):
     monkeypatch.setattr(
-        enumeration, "classify", lambda s: ClassificationTriple(1, 0, 0)
+        enumeration, "classify", lambda s: Decomposition(1, 0, 0)
     )
     with pytest.raises(ValidationError, match="share the triple"):
         count_up_to_iso(2)

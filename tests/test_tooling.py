@@ -4,13 +4,16 @@ package functions, and `python -m pentagon` runs the CLI."""
 import ast
 import importlib
 import inspect
+import io
 import json
 import os
 import pathlib
+import re
 import runpy
 import shlex
 import subprocess
 import sys
+import tokenize
 
 from pentagon import SolutionTable, canonical_solution, cli, enumeration
 from pentagon.cli import run
@@ -85,6 +88,36 @@ def test_readme_command_examples_run(tmp_path, monkeypatch):
     (tmp_path / "sigma.txt").write_text("0 1\n1 0\n")
     for line in commands:
         assert run(shlex.split(line)[1:]) == 0, line
+
+
+# a comment opens with a value when it starts with a literal or a call
+VALUE_COMMENT = re.compile(r"# ((True|False|None|-?\d|[\[({'\"]|[A-Z]\w*\().*)")
+
+
+def test_readme_library_tour_runs():
+    # every line of the "Library tour" block, in order; where the comment
+    # opens with a value, the line's value must print as that value
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library tour", 1)[1].split("```")[1]
+    assert block.startswith("python\n")
+    namespace = {}
+    checked = []
+    for line in block.splitlines()[1:]:
+        tokens = tokenize.generate_tokens(io.StringIO(line).readline)
+        comment = next((tok for tok in tokens if tok.type == tokenize.COMMENT), None)
+        code = line[: comment.start[1]] if comment else line
+        try:
+            expr = compile(code.strip(), "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        value = eval(expr, namespace)
+        quoted = comment and VALUE_COMMENT.match(comment.string)
+        if quoted:
+            shown = repr(value)
+            assert re.match(re.escape(shown) + r"($|[ ,])", quoted[1]), (line, shown)
+            checked.append(code.strip())
+    assert "pg.classify(s)" in checked
 
 
 def test_readme_quotes_the_search_node_counts():
