@@ -12,8 +12,10 @@ classes of letter pairs at length 2: after each class of length ell-2,
 every block with two or more pairs is joined whole as one union star.
 The blocks join the same words as the relations: the two pairs of a
 relation lie in one block, and the pairs of a block are linked by a
-chain of relations.  The same strata give the counts and the
-least word of every class.
+chain of relations.  A class whose successor row (the class of c.a
+for each letter a) repeats an earlier one is skipped, since its stars
+would join the same nodes again.  The same strata give the counts and
+the least word of every class.
 """
 
 from __future__ import annotations
@@ -116,8 +118,19 @@ def _strata(
         # Each block is joined as a star: the first pair's root, lowered to
         # every smaller root met, takes in the roots of the other pairs.
         parent = [-1] * nodes
+        # the stars of a class join nodes read off its successor row alone,
+        # so a row equal to an earlier one joins nothing new and is skipped;
+        # `seen` holds the first row met per first successor, and a repeat
+        # it misses is only joined twice
+        seen = array("i", [-1]) * c_prev
         for base in range(0, c_prev2 * n, n):
-            row = [q * n for q in q_prev[base:base + n]]
+            succ = q_prev[base:base + n]
+            first = seen[succ[0]]
+            if first < 0:
+                seen[succ[0]] = base
+            elif q_prev[first:first + n] == succ:
+                continue
+            row = [q * n for q in succ]
             for a, b, rest in blocks:
                 r = row[a] + b
                 while (p := parent[r]) >= 0:
@@ -139,6 +152,7 @@ def _strata(
                         r = v
                     elif r < v:
                         parent[v] = r
+        del seen  # freed before labelling, where the stratum peaks
         # label in place: a non-root's parent is a smaller node of its
         # class, whose entry already holds the class label
         firsts = array("i")

@@ -134,6 +134,24 @@ def test_union_star_lowers_its_running_root():
     assert counts == (1, 3, 6, 10, 16, 25)
 
 
+def test_repeated_successor_row_is_skipped():
+    # at length 4 one class of length 2 of canonical(1, 1, 1) has the same
+    # successor row as an earlier one, so its union stars are skipped
+    s = canonical_solution(1, 1, 1)
+    assert growth_series(s, 6).counts == oracles.growth_oracle(s, 6)
+    assert normal_forms(s, 6) == oracles.normal_forms_oracle(s, 6)
+
+
+def test_equal_first_successor_alone_is_not_skipped():
+    # with 10 = 00 the words 0 and 1 share their first successor 00 = 10
+    # but not their second, 01 and 11, so the stars of both are joined;
+    # skipping on the first successor alone would give 1, 2, 3, 5, 8, 13
+    rels = (((1, 0), (0, 0)),)
+    counts = series_from_presentation(MonoidPresentation(2, rels), 5).counts
+    assert counts == oracles.presentation_growth_oracle(2, rels, 5)
+    assert counts == (1, 2, 3, 4, 5, 6)
+
+
 @pytest.mark.parametrize("generators", [0, -1])
 def test_presentation_needs_a_generator(generators):
     with pytest.raises(ValidationError):
