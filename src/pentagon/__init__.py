@@ -52,6 +52,7 @@ from .analysis import (
     RetractResult,
     abelian_structure,
     classify,
+    decompose,
     find_isomorphism,
     idempotents,
     is_irretractable,

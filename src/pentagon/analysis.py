@@ -1,14 +1,19 @@
 """Retraction, classification invariants, and isomorphism testing.
 
 Operations whose statements only make sense for involutive solutions
-verify that hypothesis up front and raise on anything else; the quotient
-constructions additionally re-check their own well-definedness, which is
-cheap at these sizes and catches table bugs immediately.  Only the
-left-group helpers take a `MultTable`; the rest read `derive_tables` rows.
+verify that hypothesis up front and raise on anything else.  The proof
+is a `decompose` certificate, an isomorphism onto `canonical_solution(x,
+a, g)` checked on every pair in n^2 work; a table without one takes the
+n^3 axiom checks, whose messages name the law that fails.  `classify`
+reads its shape off the certificate.  The quotient constructions
+additionally re-check their own well-definedness, which is cheap at
+these sizes and catches table bugs immediately.  Only the left-group
+helpers take a `MultTable`; the rest read `derive_tables` rows.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +23,8 @@ from .core import (
     MultTable,
     SolutionTable,
     ValidationError,
+    _BYTE_RANGE,
+    _compose_rows,
     associativity_witness,
     check_involutive,
     check_pentagon,
@@ -50,7 +57,101 @@ def idempotents(m: MultTable) -> tuple[int, ...]:
     return tuple(x for x in range(m.size) if m.rows[x][x] == x)
 
 
+def _span_coordinates(gens, identity, mul, limit: int) -> Optional[dict]:
+    """Coordinates of the span of `gens` in a greedy F2-basis under `mul`,
+    from `identity` at 0: each generator outside the span so far doubles
+    it, its products with the span taking the next bit.  None when a
+    product lands in the span, so the span is no group F2^k, or when the
+    span would outgrow `limit`."""
+    coord = {identity: 0}
+    for v in gens:
+        if v not in coord:
+            bit = len(coord)  # a power of two: the span doubled each time
+            if 2 * bit > limit:
+                return None
+            new = {mul(u, v): c | bit for u, c in coord.items()}
+            if len(new) != bit or not coord.keys().isdisjoint(new):
+                return None
+            coord.update(new)
+    return coord
+
+
+def decompose(s: SolutionTable) -> Optional[tuple[Decomposition, Bijection]]:
+    """A shape (x, a, g) and an isomorphism f from s onto
+    `canonical_solution(x, a, g)`, or None when this reading finds none.
+
+    Nothing about s is assumed.  With M and T the `derive_tables` rows, f
+    is read as follows, and None returned at the first inconsistency:
+    - X is the idempotents e whose row T[e] is the identity, e0 the least;
+    - the x-coordinate of p is the place in X of M[w][w], w = T[p][p];
+    - the g-coordinate of p is that of M[e0][p] in a greedy F2-basis of
+      row M[e0] under M;
+    - the a-coordinate of p is that of T[p] in a greedy F2-basis of the
+      T rows under composition.
+    f counts only once it is checked on every pair.  canonical(x, a, g)
+    sends (P, Q) to (P ^ (Q & GM), Q ^ (P & AM)), with GM and AM the
+    masks of the g and the a bits, so row p holds when f o M[p] and
+    f o T[p] equal those two rows in Q = f(q).  canonical(x, a, g) is an
+    involutive solution, so a table with a certificate is one; by the
+    paper's theorem every involutive solution has one.
+    """
+    n = s.size
+    M, T = derive_tables(s)
+    T, _, Tcomp = _compose_rows(T)
+    # f o row is compared as an int of n lanes, one per element, where
+    # xor with v in every lane is xor with v * ones
+    if n <= _BYTE_RANGE:  # bytes rows and byte lanes
+        identity, pad = bytes(range(n)), bytes(_BYTE_RANGE - n)
+        compose = lambda u, v: v.translate(u + pad)  # u after v
+        table = lambda r: bytes(r) + pad
+        lanes = lambda r: int.from_bytes(bytes(r), "little")
+    else:  # tuple rows, as in _compose_rows, and lanes of an array type
+        identity = tuple(range(n))
+        code = "H" if n <= 1 << 16 else "Q"
+        compose = lambda u, v: tuple(map(u.__getitem__, v))
+        table = tuple
+        lanes = lambda r: int.from_bytes(array(code, r).tobytes(), "little")
+
+    xs = [e for e in range(n) if M[e][e] == e and T[e] == identity]
+    if not xs:
+        return None
+    place = dict(zip(xs, range(len(xs))))
+    x_of = [place.get(M[row[p]][row[p]]) for p, row in enumerate(T)]
+    if None in x_of:
+        return None
+    e0 = xs[0]
+    g_of = _span_coordinates(M[e0], e0, lambda u, v: M[u][v], n)
+    if g_of is None:
+        return None
+    a_of = _span_coordinates(T, identity, compose, n)
+    if a_of is None:
+        return None
+    shape = Decomposition(
+        len(xs), len(a_of).bit_length() - 1, len(g_of).bit_length() - 1
+    )
+    if shape.size != n:
+        return None
+    ad, gd = shape.a_dim, shape.g_dim
+    f = [(x << ad | a_of[t]) << gd | g_of[g] for x, t, g in zip(x_of, T, M[e0])]
+    if len(set(f)) != n:  # every coordinate is in range, so f is onto 0..n-1
+        return None
+
+    gm, am = (1 << gd) - 1, ((1 << ad) - 1) << gd
+    Mcomp = _compose_rows(M)[2]
+    ones, ftab = lanes([1] * n), table(f)
+    fg, fi = lanes([v & gm for v in f]), lanes(f)
+    for mc, tc, fp in zip(Mcomp, Tcomp, f):
+        if (lanes(mc(ftab)) != fg ^ fp * ones
+                or lanes(tc(ftab)) != fi ^ (fp & am) * ones):
+            return None
+    return shape, Bijection(tuple(f))
+
+
 def _require_involutive_solution(s: SolutionTable, op: str) -> None:
+    # a certificate proves both laws; without one the checks name the law
+    # that fails
+    if decompose(s) is not None:
+        return
     if not check_involutive(s):
         raise ValidationError(f"{op} requires an involutive table")
     if not check_pentagon(s):
@@ -156,10 +257,15 @@ def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
 def classify(s: SolutionTable) -> Decomposition:
     """The shape X x A x G of an involutive solution, sigma left out.
 
-    |A| is the retract size, |X| the idempotent count over |A|, and |G|
-    the size over the idempotent count.  Each factor is read with a floor,
-    so the shape's size is |S| only when every quotient and log is exact.
+    The shape is that of the `decompose` certificate.  A table without one
+    is read off its retract, which names the law the table fails: |A| is
+    the retract size, |X| the idempotent count over |A|, and |G| the size
+    over the idempotent count.  Each factor is read with a floor, so the
+    shape's size is |S| only when every quotient and log is exact.
     """
+    certificate = decompose(s)
+    if certificate is not None:
+        return certificate[0]
     n = s.size
     a_size = retract(s).quotient.size
     num_idem = sum(s.apply(x, x)[0] == x for x in range(n))

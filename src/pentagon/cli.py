@@ -50,6 +50,7 @@ from .constructors import (
 )
 from .analysis import (
     classify,
+    decompose,
     find_isomorphism,
     retract,
 )
@@ -306,10 +307,15 @@ def _cmd_verify(args, report: _Report) -> int:
     unknown = [a for a in names if a not in AXIOM_CHECKS]
     if unknown:
         raise ValidationError(f"unknown axioms: {', '.join(unknown)}")
-    # "pe" reads its verdict off the witness, which a failure prints
-    witness = pentagon_witness(s) if "pe" in names else None
+    # a certificate proves "pe" and "involutive"; without one, "pe" reads
+    # its verdict off the witness, which a failure prints
+    proved = {"pe", "involutive"}.intersection(names)
+    if proved and decompose(s) is None:
+        proved = set()
+    witness = pentagon_witness(s) if "pe" in names and not proved else None
     verdicts = {
-        a: witness is None if a == "pe" else AXIOM_CHECKS[a](s) for a in names
+        a: a in proved or (witness is None if a == "pe" else AXIOM_CHECKS[a](s))
+        for a in names
     }
     for a, ok in verdicts.items():
         report.say(f"{a}: {'holds' if ok else 'FAILS'}")

@@ -1,5 +1,7 @@
 import gc
 import random
+from array import array
+from collections import Counter
 
 import pytest
 
@@ -12,8 +14,12 @@ from pentagon import (
     abelian_structure,
     canonical_solution,
     check_bijective,
+    check_involutive,
+    check_pentagon,
     classify,
+    cycle_solution,
     cyclic_group,
+    decompose,
     decomposition_solution,
     derive_tables,
     ext_solution,
@@ -26,6 +32,7 @@ from pentagon import (
     is_isomorphic_invariant,
     is_morphism,
     left_group_decomposition,
+    product_solution,
     relabel,
     retract,
     retract_tower,
@@ -119,7 +126,10 @@ def _with_idempotents(n, count):
 
 def test_classify_checks_the_sizes_it_reads(monkeypatch):
     # a patched retract of the given size stands in for the real one; the
-    # oracle's four checks decide each verdict on the grid
+    # oracle's four checks decide each verdict on the grid.  Without a
+    # certificate classify reads the sizes; some tables here have one
+    monkeypatch.setattr(analysis, "decompose", lambda s: None)
+
     def patch_retract(a_size):
         quotient = identity_solution(a_size)
         monkeypatch.setattr(
@@ -454,6 +464,168 @@ def test_classify_gives_the_shape_that_rebuilds_the_solution():
         rebuilt = decomposition_solution(shape)
         f = find_isomorphism(s, rebuilt)
         assert f is not None and is_morphism(f, s, rebuilt), (x, a, g)
+
+
+def _twisted_relabelled(x, a, g, rng) -> SolutionTable:
+    """decomposition_solution of shape (x, a, g) under a random sigma,
+    relabelled by a random permutation."""
+    sigma = SigmaMap(
+        x, a, tuple(tuple(rng.sample(range(x), x)) for _ in range(1 << a))
+    )
+    twisted = decomposition_solution(Decomposition(x, a, g, sigma))
+    n = twisted.size
+    return relabel(twisted, rng.sample(range(n), n))
+
+
+def _linear_map(a, g):
+    """((a,g),(b,h)) -> ((a, g^h), (a^b, h)) on V = F2^(a+g), the g bits
+    low: F2-linear on V^2, since each output is an xor of masked inputs."""
+    gm, am = (1 << g) - 1, ((1 << a) - 1) << g
+    return lambda p, q: (p ^ (q & gm), q ^ (p & am))
+
+
+def test_canonical_solution_is_the_linear_map_on_every_expression_carrier():
+    # a + g <= 10 covers every carrier of at most 2^20 cells, the
+    # expression bound.  A row is compared whole, as an int of 16-bit
+    # lanes in which xor with v * ones is xor with v in every lane; the
+    # collector is off while the tables' million tuples are alive
+    def lanes(row):
+        return int.from_bytes(array("H", row).tobytes(), "little")
+
+    gc.disable()
+    try:
+        for k in range(11):
+            n = 1 << k
+            ones, ident = lanes([1] * n), lanes(range(n))
+            for a in range(k + 1):
+                g = k - a
+                gm, am = (1 << g) - 1, ((1 << a) - 1) << g
+                M, T = derive_tables(canonical_solution(1, a, g))
+                low = lanes([q & gm for q in range(n)])
+                assert all(
+                    lanes(M[p]) == low ^ p * ones
+                    and lanes(T[p]) == ident ^ (p & am) * ones
+                    for p in range(n)
+                ), (a, g)
+    finally:
+        gc.enable()
+    # the map the unit-vector test checks is the one compared above
+    s = _linear_map(2, 1)
+    assert [s(p, q) for p in range(8) for q in range(8)] == list(
+        canonical_solution(1, 2, 1).entries
+    )
+
+
+def test_the_linear_map_satisfies_both_laws_on_unit_vectors():
+    # both sides of each law are F2-linear, so they agree everywhere when
+    # they agree on the 3(a+g) unit vectors of V^3 and 2(a+g) of V^2
+    for k in range(11):
+        units = [1 << i for i in range(k)]
+        for a in range(k + 1):
+            s = _linear_map(a, k - a)
+            triples = [(u, 0, 0) for u in units] + [(0, u, 0) for u in units]
+            for x, y, z in triples + [(0, 0, u) for u in units]:
+                p, q = s(x, y)
+                c, d = s(p, z)
+                e, f = s(q, d)
+                u, v = s(y, z)
+                assert (c, e, f) == s(x, u) + (v,), (a, x, y, z)
+            for x, y in [(u, 0) for u in units] + [(0, u) for u in units]:
+                assert s(*s(x, y)) == (x, y)
+
+
+def test_canonical_solution_is_identity_times_its_one_point_factor():
+    # the product's row-major pairing is the (x, a, g) indexing itself
+    for x in range(1, 5):
+        for k in range(5):
+            for a in range(k + 1):
+                one = canonical_solution(1, a, k - a)
+                want = product_solution(identity_solution(x), one)
+                assert canonical_solution(x, a, k - a) == want, (x, a, k - a)
+
+
+def test_decompose_certifies_exactly_the_involutive_solutions():
+    # against the n^3 checks on random tables of sizes 1..6: pair
+    # involutions, arbitrary tables, twisted relabelled solutions, and
+    # those solutions with their pair map conjugated by a transposition,
+    # which stays an involution
+    rng = random.Random(3000)
+    shapes = {
+        n: [(n >> (a + g), a, g) for a in range(3) for g in range(3)
+            if n % (1 << (a + g)) == 0]
+        for n in range(1, 7)
+    }
+    seen = Counter()
+    for _ in range(3000):
+        n, kind = rng.randrange(1, 7), rng.randrange(4)
+        if kind == 0:
+            s = oracles.random_involution_table(n, rng)
+        elif kind == 1:
+            s = oracles.random_table(n, rng)
+        else:
+            s = _twisted_relabelled(*rng.choice(shapes[n]), rng)
+        if kind == 3:
+            u, v = rng.sample(range(n * n), 2) if n > 1 else (0, 0)
+            swap = {u: v, v: u}
+            flat = s.flat()
+            cells = [flat[swap.get(w, w)] for w in range(n * n)]
+            s = SolutionTable(n, tuple(divmod(swap.get(c, c), n) for c in cells))
+        valid = check_involutive(s) and check_pentagon(s)
+        certificate = decompose(s)
+        assert (certificate is not None) == valid, s
+        if certificate is not None:
+            shape, f = certificate
+            assert is_morphism(f, s, decomposition_solution(shape))
+        seen[kind, valid] += 1
+    # the solutions are all certified, and the other kinds give both
+    # verdicts, arbitrary tables mostly the negative one
+    assert seen[2, False] == 0
+    assert all(seen[kind, v] >= 20 for kind in (0, 3) for v in (True, False)), seen
+    assert seen[1, False] >= 500, seen
+
+
+def test_decompose_certifies_every_twisted_relabelled_shape_up_to_64():
+    rng = random.Random(247)
+    shapes = [
+        (x, a, g)
+        for a in range(7)
+        for g in range(7 - a)
+        for x in range(1, (64 >> (a + g)) + 1)
+    ]
+    assert len(shapes) == 247
+    for x, a, g in shapes:
+        s = _twisted_relabelled(x, a, g, rng)
+        shape, f = decompose(s)
+        assert shape == Decomposition(x, a, g)
+        assert is_morphism(f, s, canonical_solution(x, a, g)), (x, a, g)
+        # the paper's route to the parts: |A| is the retract size and |G|
+        # the order of the left group's group part
+        assert retract(s).quotient.size == 1 << a
+        mul, _ = derive_tables(s)
+        lg = left_group_decomposition(MultTable(s.size, mul))
+        assert lg.group_part.size == 1 << g
+
+
+def test_decompose_stops_a_span_that_outgrows_the_carrier():
+    # constant multiplication 0, theta_0 the identity, every other theta
+    # row a random permutation: the greedy basis of the theta rows would
+    # double 63 times if the span were not bounded by the carrier
+    rng = random.Random(63)
+    rows = [tuple(range(64))] + [tuple(rng.sample(range(64), 64)) for _ in range(63)]
+    assert decompose(SolutionTable(64, tuple((0, v) for row in rows for v in row))) is None
+
+
+def test_non_involutive_solutions_have_no_certificate_and_keep_their_errors():
+    for s in (
+        group_solution(cyclic_group(3)),  # exponent 3
+        group_solution(cyclic_group(4)),
+        cycle_solution((3, 0, 1, 2), cyclic_group(2)),  # order 4
+    ):
+        assert check_pentagon(s) and not check_involutive(s)
+        assert decompose(s) is None
+        for op in (classify, retract, is_irretractable):
+            with pytest.raises(ValidationError, match="requires an involutive table"):
+                op(s)
 
 
 def test_find_isomorphism_maps_a_relabelled_solution_of_size_1024():

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import tempfile
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pentagon import (
+    Decomposition,
     ValidationError,
     canonical_solution,
     cycle_solution,
@@ -15,8 +17,9 @@ from pentagon import (
     enumerate_pruned,
     identity_solution,
     irretractable_solution,
+    relabel,
 )
-from pentagon import analysis
+from pentagon import analysis, cli, core
 from pentagon.cli import (
     DEFAULT_WORD_BUDGET,
     HEADER,
@@ -255,6 +258,43 @@ def test_verify_reports_pentagon_witness(tmp_path, capsys):
     flip.write_text(emit_solution(SolutionTable(2, ((0, 0), (1, 0), (0, 1), (1, 1)))))
     assert run(["verify", "--axioms", "pe", str(flip)]) == 1
     assert "failing triple (0, 1, 0)" in capsys.readouterr().out
+
+
+def test_verify_without_a_certificate_takes_the_old_checks(capsys):
+    # an order-4 solution is no involution, so it has no certificate
+    cycle = f"{GOLDEN}/cycle_1432_c2.solution"
+    assert run(["verify", "--axioms", "involutive,pe,rpe", cycle]) == 1
+    assert capsys.readouterr().out == "involutive: FAILS\npe: holds\nrpe: FAILS\n"
+
+
+def test_the_certificate_answers_at_512_without_the_cubic_checks(
+    tmp_path, monkeypatch, capsys
+):
+    # the wide route: above 256 elements rows are tuples and lanes 16-bit
+    s = relabel(canonical_solution(2, 4, 4), random.Random(512).sample(range(512), 512))
+    path = tmp_path / "c244.solution"
+    path.write_text(emit_solution(s))
+
+    def refuse(*args):
+        raise AssertionError("an n^3 check ran")
+
+    for module, name in ((core, "pentagon_witness"), (core, "check_pentagon"),
+                         (analysis, "check_pentagon"), (cli, "pentagon_witness")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setitem(cli.AXIOM_CHECKS, "pe", refuse)
+
+    def answer(*argv):
+        assert run(["--json", *argv, str(path)]) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    assert answer("classify") == {"x_size": 2, "a_dim": 4, "g_dim": 4}
+    assert answer("verify", "--axioms", "pe,involutive") == {
+        "size": 512, "axioms": {"pe": True, "involutive": True}
+    }
+    retracted = answer("retract")
+    assert retracted["class_sizes"] == [32] * 16
+    quotient = parse_solution(retracted["solution"])
+    assert analysis.classify(quotient) == Decomposition(1, 4, 0)
 
 
 def test_verify_unknown_axiom():
