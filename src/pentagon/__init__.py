@@ -48,16 +48,11 @@ from .constructors import (
     xor_group,
 )
 from .analysis import (
-    LeftGroupDecomposition,
     RetractResult,
-    abelian_structure,
     classify,
     decompose,
     find_isomorphism,
-    idempotents,
-    is_irretractable,
     is_isomorphic_invariant,
-    left_group_decomposition,
     retract,
     retract_tower,
 )

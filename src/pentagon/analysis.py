@@ -4,11 +4,12 @@ Operations whose statements only make sense for involutive solutions
 verify that hypothesis up front and raise on anything else.  The proof
 is a `decompose` certificate, an isomorphism onto `canonical_solution(x,
 a, g)` checked on every pair in n^2 work; a table without one takes the
-n^3 axiom checks, whose messages name the law that fails.  `classify`
-reads its shape off the certificate.  The quotient constructions
-additionally re-check their own well-definedness, which is cheap at
-these sizes and catches table bugs immediately.  Only the left-group
-helpers take a `MultTable`; the rest read `derive_tables` rows.
+n^3 axiom checks, whose messages name the law that fails.  An involutive
+solution without a certificate would contradict the classification
+theorem, and raises too.  `classify` is the certificate's shape.  The
+quotient constructions additionally re-check their own well-definedness,
+which is cheap at these sizes and catches table bugs immediately.
+Everything here reads `derive_tables` rows; no `MultTable` is built.
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ from typing import Optional
 from .core import (
     Bijection,
     BudgetError,
-    MultTable,
     SolutionTable,
     ValidationError,
     _BYTE_RANGE,
     _compose_rows,
-    associativity_witness,
     check_involutive,
     check_pentagon,
     cycle_type,
     derive_tables,
     is_morphism,
 )
-from .constructors import Decomposition, GroupTable, group_from_cayley
+from .constructors import Decomposition
+
 
 @dataclass(frozen=True)
 class RetractResult:
@@ -41,20 +41,6 @@ class RetractResult:
     quotient: SolutionTable
     class_of: tuple[int, ...]
     class_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LeftGroupDecomposition:
-    idempotents: tuple[int, ...]
-    group_part: GroupTable
-
-
-def is_associative(m: MultTable) -> bool:
-    return associativity_witness(m.rows) is None
-
-
-def idempotents(m: MultTable) -> tuple[int, ...]:
-    return tuple(x for x in range(m.size) if m.rows[x][x] == x)
 
 
 def _span_coordinates(gens, identity, mul, limit: int) -> Optional[dict]:
@@ -147,20 +133,26 @@ def decompose(s: SolutionTable) -> Optional[tuple[Decomposition, Bijection]]:
     return shape, Bijection(tuple(f))
 
 
-def _require_involutive_solution(s: SolutionTable, op: str) -> None:
-    # a certificate proves both laws; without one the checks name the law
-    # that fails
-    if decompose(s) is not None:
-        return
+def _certificate(s: SolutionTable, op: str) -> tuple[Decomposition, Bijection]:
+    """The `decompose` certificate of s, or ValidationError naming what
+    `op` found instead: the law that s fails, or an involutive solution
+    without a certificate, which the classification theorem rules out."""
+    certificate = decompose(s)
+    if certificate is not None:
+        return certificate
     if not check_involutive(s):
         raise ValidationError(f"{op} requires an involutive table")
     if not check_pentagon(s):
         raise ValidationError(f"{op} requires a pentagon solution")
+    raise ValidationError(
+        f"{op}: an involutive solution without a certificate "
+        "contradicts the classification theorem"
+    )
 
 
 def retract(s: SolutionTable) -> RetractResult:
     """Quotient solution on the classes of elements sharing a theta map."""
-    _require_involutive_solution(s, "retract")
+    _certificate(s, "retract")
     n = s.size
     mul, th = derive_tables(s)
 
@@ -195,13 +187,6 @@ def retract(s: SolutionTable) -> RetractResult:
     return RetractResult(SolutionTable(k, tuple(entries)), tuple(class_of), sizes)
 
 
-def is_irretractable(s: SolutionTable) -> bool:
-    """Whether all theta maps are pairwise distinct."""
-    _require_involutive_solution(s, "is_irretractable")
-    _, th = derive_tables(s)
-    return len(set(th)) == s.size
-
-
 def retract_tower(s: SolutionTable) -> list[int]:
     """Sizes of iterated retracts, ending when the size repeats."""
     sizes = [s.size]
@@ -214,72 +199,11 @@ def retract_tower(s: SolutionTable) -> list[int]:
         cur = nxt
 
 
-def abelian_structure(s: SolutionTable) -> GroupTable:
-    """The group with x + y = theta_x(y) carried by an irretractable solution."""
-    _require_involutive_solution(s, "abelian_structure")
-    _, th = derive_tables(s)
-    if len(set(th)) != s.size:
-        raise ValidationError("abelian_structure requires an irretractable solution")
-    g = group_from_cayley(th)
-    # exponent 2 makes g abelian: xy = (xy)^-1 = y^-1 x^-1 = yx
-    if g.exponent > 2:
-        raise ValidationError("derived group is not of exponent 2")
-    return g
-
-
-def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
-    """Split a left group as idempotents x group, None if m is not one."""
-    if not is_associative(m):
-        raise ValidationError("multiplication is not associative")
-    n = m.size
-    rows = m.rows
-    idem = idempotents(m)
-    # left simple: Sx = S for every x
-    full = set(range(n))
-    for x in range(n):
-        if {rows[y][x] for y in range(n)} != full:
-            return None
-
-    # some power of any element of a finite semigroup is idempotent
-    e = idem[0]
-    part = sorted({rows[rows[e][x]][e] for x in range(n)})
-    index = {v: i for i, v in enumerate(part)}
-    sub = [[index[rows[a][b]] for b in part] for a in part]
-    group = group_from_cayley(sub)
-    if len(idem) * group.size != n:
-        raise ValidationError("left group size bookkeeping failed")
-    for f in idem:
-        if any(rows[x][f] != x for x in range(n)):
-            raise ValidationError("an idempotent is not a right identity")
-    return LeftGroupDecomposition(idem, group)
-
-
 def classify(s: SolutionTable) -> Decomposition:
-    """The shape X x A x G of an involutive solution, sigma left out.
-
-    The shape is that of the `decompose` certificate.  A table without one
-    is read off its retract, which names the law the table fails: |A| is
-    the retract size, |X| the idempotent count over |A|, and |G| the size
-    over the idempotent count.  Each factor is read with a floor, so the
-    shape's size is |S| only when every quotient and log is exact.
-    """
-    certificate = decompose(s)
-    if certificate is not None:
-        return certificate[0]
-    n = s.size
-    a_size = retract(s).quotient.size
-    num_idem = sum(s.apply(x, x)[0] == x for x in range(n))
-    shape = Decomposition(
-        num_idem // a_size,
-        a_size.bit_length() - 1,
-        (n // num_idem).bit_length() - 1,
-    )
-    if shape.size != n:
-        raise ValidationError(
-            f"shape ({shape.x_size}, {shape.a_dim}, {shape.g_dim}) "
-            f"has size {shape.size}, not {n}"
-        )
-    return shape
+    """The shape X x A x G of an involutive solution, sigma left out: that
+    of its `decompose` certificate.  Raises ValidationError on a table
+    without one."""
+    return _certificate(s, "classify")[0]
 
 
 def is_isomorphic_invariant(s: SolutionTable, t: SolutionTable) -> bool:

@@ -205,8 +205,8 @@ def growth_series(
 
 
 def rank_expected(s: SolutionTable) -> int:
-    """The x_size of the `classify` shape, idempotent count over retract
-    size: the predicted growth degree."""
+    """The x_size of the `classify` shape, that of the solution's
+    certificate: the predicted growth degree."""
     return classify(s).x_size
 
 

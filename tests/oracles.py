@@ -18,15 +18,20 @@ helpers that only the tests call: a non-abelian group for the
 constructor panels, the simplicity of the left groups that solutions
 carry, and literal powers of a permutation.
 
-`classification_oracle` keeps the four divisibility and power-of-two
-checks through which `classify` once rebuilt a shape from its counts, as
-the reference for the single size check that replaced them.
+`is_irretractable`, `abelian_structure` and `left_group_decomposition`,
+with its helpers `is_associative` and `idempotents`, are the paper's
+route to the parts of X x A x G: the retract of a solution is
+irretractable and its theta maps add as the group A, and its
+multiplication is a left group, the idempotents X times the group G.
+They are the independent check on the parts that `decompose` reads off
+a certificate.
 
 `growth_tail_oracle` is a conjectured closed form, not a reference
 route: it lets the growth tests reach sizes and lengths that the dense
 closure cannot.
 """
 
+from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 from typing import Optional, Sequence
@@ -39,7 +44,6 @@ from pentagon import (
     group_from_cayley,
     relabel,
 )
-from pentagon.analysis import is_associative
 from pentagon.core import compose_perms
 
 
@@ -188,23 +192,6 @@ def order_oracle(s: SolutionTable, cap: int):
             return m
         cur = compose(smap, cur)
     return None
-
-
-def classification_oracle(n: int, a_size: int, num_idem: int) -> Optional[tuple]:
-    """The shape (x, a, g) that a size, a retract size and an idempotent
-    count give, or None: both logs exact and both quotients whole."""
-    a_dim = a_size.bit_length() - 1
-    if 1 << a_dim != a_size:
-        return None
-    if n % num_idem:
-        return None
-    g_size = n // num_idem
-    g_dim = g_size.bit_length() - 1
-    if 1 << g_dim != g_size:
-        return None
-    if num_idem % a_size:
-        return None
-    return (num_idem // a_size, a_dim, g_dim)
 
 
 def morphism_oracle(f, s: SolutionTable, t: SolutionTable) -> bool:
@@ -572,6 +559,70 @@ def symmetric_group(n: int) -> GroupTable:
         for p in elems
     ]
     return group_from_cayley(rows)
+
+
+def is_associative(m: MultTable) -> bool:
+    return associativity_failure_oracle(m.rows) is None
+
+
+def idempotents(m: MultTable) -> tuple[int, ...]:
+    return tuple(x for x in range(m.size) if m.rows[x][x] == x)
+
+
+def _theta_rows(s: SolutionTable) -> list:
+    """Row x holds theta_x(y) = the second coordinate of s(x, y)."""
+    smap = as_map(s)
+    return [tuple(smap[x, y][1] for y in range(s.size)) for x in range(s.size)]
+
+
+def is_irretractable(s: SolutionTable) -> bool:
+    """Whether all theta maps of a solution are pairwise distinct."""
+    return len(set(_theta_rows(s))) == s.size
+
+
+def abelian_structure(s: SolutionTable) -> GroupTable:
+    """The group with x + y = theta_x(y) carried by an irretractable solution."""
+    th = _theta_rows(s)
+    if len(set(th)) != s.size:
+        raise ValidationError("abelian_structure requires an irretractable solution")
+    g = group_from_cayley(th)
+    # exponent 2 makes g abelian: xy = (xy)^-1 = y^-1 x^-1 = yx
+    if g.exponent > 2:
+        raise ValidationError("derived group is not of exponent 2")
+    return g
+
+
+@dataclass(frozen=True)
+class LeftGroupDecomposition:
+    idempotents: tuple[int, ...]
+    group_part: GroupTable
+
+
+def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
+    """Split a left group as idempotents x group, None if m is not one."""
+    if not is_associative(m):
+        raise ValidationError("multiplication is not associative")
+    n = m.size
+    rows = m.rows
+    idem = idempotents(m)
+    # left simple: Sx = S for every x
+    full = set(range(n))
+    for x in range(n):
+        if {rows[y][x] for y in range(n)} != full:
+            return None
+
+    # some power of any element of a finite semigroup is idempotent
+    e = idem[0]
+    part = sorted({rows[rows[e][x]][e] for x in range(n)})
+    index = {v: i for i, v in enumerate(part)}
+    sub = [[index[rows[a][b]] for b in part] for a in part]
+    group = group_from_cayley(sub)
+    if len(idem) * group.size != n:
+        raise ValidationError("left group size bookkeeping failed")
+    for f in idem:
+        if any(rows[x][f] != x for x in range(n)):
+            raise ValidationError("an idempotent is not a right identity")
+    return LeftGroupDecomposition(idem, group)
 
 
 def check_simple(m: MultTable) -> bool:

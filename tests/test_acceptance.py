@@ -30,7 +30,6 @@ from pentagon import (
     growth_series,
     identity_solution,
     irretractable_solution,
-    is_irretractable,
     order_of,
     rank_expected,
     retract,
@@ -38,7 +37,6 @@ from pentagon import (
     trivial_group,
     xor_group,
 )
-from pentagon.analysis import is_irretractable as _irr
 from pentagon.constructors import Decomposition, SigmaMap
 from pentagon.core import perm_order
 from pentagon.cli import run
@@ -201,12 +199,12 @@ def test_criterion_6_retraction_suite(rng):
         for s in _retraction_panel(rng):
             res = retract(s)
             assert len(set(res.class_sizes)) == 1
-            assert is_irretractable(res.quotient)
+            assert oracles.is_irretractable(res.quotient)
         for n in (1, 2, 3, 4):
             for s in enumerate_pruned(n):
                 res = retract(s)
                 assert len(set(res.class_sizes)) == 1
-                assert is_irretractable(res.quotient)
+                assert oracles.is_irretractable(res.quotient)
         # the retract of an extension recovers the bitmask solution
         for x_size, a_dim in [(2, 1), (3, 1), (2, 2), (4, 2), (1, 3)]:
             perms = []
@@ -234,7 +232,7 @@ def test_criterion_7_isomorphism_theorem():
                     assert found == (triples[i] == triples[j])
         # irretractable solutions of equal size are pairwise isomorphic
         for n, tables in by_size.items():
-            irr = [s for s in tables if _irr(s)]
+            irr = [s for s in tables if oracles.is_irretractable(s)]
             for i in range(len(irr)):
                 for j in range(i + 1, len(irr)):
                     assert find_isomorphism(irr[i], irr[j]) is not None

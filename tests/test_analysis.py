@@ -11,12 +11,12 @@ from pentagon import (
     MultTable,
     SolutionTable,
     ValidationError,
-    abelian_structure,
     canonical_solution,
     check_bijective,
     check_involutive,
     check_pentagon,
     classify,
+    count_up_to_iso,
     cycle_solution,
     cyclic_group,
     decompose,
@@ -25,20 +25,17 @@ from pentagon import (
     ext_solution,
     find_isomorphism,
     group_solution,
-    idempotents,
     identity_solution,
     irretractable_solution,
-    is_irretractable,
     is_isomorphic_invariant,
     is_morphism,
-    left_group_decomposition,
     product_solution,
     relabel,
     retract,
     retract_tower,
 )
 from pentagon import analysis
-from pentagon.analysis import is_associative
+from pentagon.cli import run
 from pentagon.constructors import Decomposition, SigmaMap
 
 from conftest import identity_with_one_cell_changed, small_involutive_panel
@@ -104,7 +101,7 @@ def _theta_table(mul, theta):
 
 def test_retract_checks_that_its_quotient_is_well_defined(monkeypatch):
     # no solution fails these checks, so the solution check is patched out
-    monkeypatch.setattr(analysis, "_require_involutive_solution", lambda s, op: None)
+    monkeypatch.setattr(analysis, "_certificate", lambda s, op: None)
     left = ((0, 0, 0), (1, 1, 1), (2, 2, 2))  # x·y = x
     cases = [
         (((1, 0), (1, 1)), ((0, 1), (1, 0)), "quotient multiplication is not left zero"),
@@ -116,57 +113,51 @@ def test_retract_checks_that_its_quotient_is_well_defined(monkeypatch):
             retract(_theta_table(mul, theta))
 
 
-def _with_idempotents(n, count):
-    """A table on n elements whose first coordinate fixes exactly 0..count-1
-    on the diagonal."""
-    return SolutionTable(
-        n, tuple((x if x < count else 0, y) for x in range(n) for y in range(n))
-    )
-
-
-def test_classify_checks_the_sizes_it_reads(monkeypatch):
-    # a patched retract of the given size stands in for the real one; the
-    # oracle's four checks decide each verdict on the grid.  Without a
-    # certificate classify reads the sizes; some tables here have one
+def test_classify_without_a_certificate_contradicts_the_theorem(monkeypatch, capsys):
+    # an involutive solution that decompose cannot certify is a
+    # counterexample to the classification theorem: every route raises
+    s = canonical_solution(3, 1, 1)
+    assert check_involutive(s) and check_pentagon(s)
     monkeypatch.setattr(analysis, "decompose", lambda s: None)
+    for op in (classify, retract):
+        with pytest.raises(ValidationError, match="classification theorem"):
+            op(s)
+    assert run(["classify", "canonical(3,1,1)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: classify:") and "classification theorem" in err
+    with pytest.raises(ValidationError, match="classification theorem"):
+        count_up_to_iso(4)
 
-    def patch_retract(a_size):
-        quotient = identity_solution(a_size)
-        monkeypatch.setattr(
-            analysis, "retract", lambda s: analysis.RetractResult(quotient, (), ())
-        )
 
-    for n in range(1, 13):
-        for a_size in range(1, n + 2):
-            patch_retract(a_size)
-            for count in range(1, n + 1):
-                s = _with_idempotents(n, count)
-                shape = oracles.classification_oracle(n, a_size, count)
-                if shape is None:
-                    with pytest.raises(ValidationError):
-                        classify(s)
-                else:
-                    assert classify(s) == Decomposition(*shape), (n, a_size, count)
+def test_classify_and_retract_run_decompose_once(monkeypatch):
+    # the certificate that proves the hypothesis is the one classify reads
+    calls = []
+    real = analysis.decompose
 
-    constant = ((0, 0, 0),) * 3  # one idempotent among three elements
-    two_idempotents = ((0, 0, 0), (1, 1, 1), (0, 0, 0))
-    same = ((0, 1, 2),) * 3
-    cases = [
-        (identity_solution(3), 3, r"shape \(1, 1, 0\) has size 2, not 3"),
-        (_theta_table(two_idempotents, same), 1, r"shape \(2, 0, 0\) has size 2, not 3"),
-        (_theta_table(constant, same), 1, r"shape \(1, 0, 1\) has size 2, not 3"),
-        (identity_solution(1), 2, "x_size must be at least 1"),
-    ]
-    for s, a_size, message in cases:
-        patch_retract(a_size)
-        with pytest.raises(ValidationError, match=message):
-            classify(s)
+    def spy(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(analysis, "decompose", spy)
+    for s in (
+        cycle_solution((3, 0, 1, 2), cyclic_group(2)),
+        group_solution(cyclic_group(4)),
+        canonical_solution(3, 1, 1),
+    ):
+        for op in (classify, retract):
+            calls.clear()
+            if check_involutive(s):
+                op(s)
+            else:
+                with pytest.raises(ValidationError, match="requires an involutive"):
+                    op(s)
+            assert calls == [s], (op.__name__, s.size)
 
 
 def test_is_irretractable():
-    assert is_irretractable(irretractable_solution(2))
-    assert not is_irretractable(identity_solution(2))
-    assert not is_irretractable(canonical_solution(1, 0, 1))
+    assert oracles.is_irretractable(irretractable_solution(2))
+    assert not oracles.is_irretractable(identity_solution(2))
+    assert not oracles.is_irretractable(canonical_solution(1, 0, 1))
 
 
 def test_retract_tower_examples():
@@ -179,14 +170,14 @@ def test_retract_stabilizes_in_one_step():
     for s in small_involutive_panel():
         tower = retract_tower(s)
         assert len(tower) <= 3
-        assert is_irretractable(retract(s).quotient)
+        assert oracles.is_irretractable(retract(s).quotient)
 
 
 def test_abelian_structure_examples():
-    g = abelian_structure(irretractable_solution(1))
+    g = oracles.abelian_structure(irretractable_solution(1))
     assert g.cayley == ((0, 1), (1, 0))
-    assert abelian_structure(irretractable_solution(0)).size == 1
-    g2 = abelian_structure(irretractable_solution(2))
+    assert oracles.abelian_structure(irretractable_solution(0)).size == 1
+    g2 = oracles.abelian_structure(irretractable_solution(2))
     assert g2.size == 4
     assert g2.exponent == 2
 
@@ -194,7 +185,7 @@ def test_abelian_structure_examples():
 def test_abelian_structure_reconstructs_the_solution():
     for r in (0, 1, 2, 3):
         t = irretractable_solution(r)
-        g = abelian_structure(t)
+        g = oracles.abelian_structure(t)
         assert g.identity == 0
         n = t.size
         rebuilt = [
@@ -205,7 +196,7 @@ def test_abelian_structure_reconstructs_the_solution():
 
 def test_abelian_structure_rejects_retractable():
     with pytest.raises(ValidationError):
-        abelian_structure(identity_solution(2))
+        oracles.abelian_structure(identity_solution(2))
 
 
 def test_classify_splits_the_table_once(monkeypatch):
@@ -245,18 +236,18 @@ def test_analysis_builds_no_mult_table(monkeypatch):
 
 def test_left_group_decomposition_examples():
     mult, _ = derive_tables(canonical_solution(3, 1, 1))
-    dec = left_group_decomposition(MultTable(12, mult))
+    dec = oracles.left_group_decomposition(MultTable(12, mult))
     assert dec is not None
     assert len(dec.idempotents) == 6
     assert dec.group_part.size == 2
     assert dec.group_part.exponent == 2
 
-    dec = left_group_decomposition(LEFT_ZERO_4)
+    dec = oracles.left_group_decomposition(LEFT_ZERO_4)
     assert len(dec.idempotents) == 4
     assert dec.group_part.size == 1
 
     c3 = MultTable(3, tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
-    dec = left_group_decomposition(c3)
+    dec = oracles.left_group_decomposition(c3)
     assert dec.idempotents == (0,)
     assert dec.group_part.size == 3
     assert dec.group_part.exponent == 3
@@ -265,15 +256,15 @@ def test_left_group_decomposition_examples():
 def test_left_group_decomposition_counts_multiply():
     for s in small_involutive_panel():
         mult, _ = derive_tables(s)
-        dec = left_group_decomposition(MultTable(s.size, mult))
+        dec = oracles.left_group_decomposition(MultTable(s.size, mult))
         assert dec is not None
         assert len(dec.idempotents) * dec.group_part.size == s.size
 
 
 def test_left_group_decomposition_negative():
-    assert left_group_decomposition(NULL_2) is None
+    assert oracles.left_group_decomposition(NULL_2) is None
     with pytest.raises(ValidationError):
-        left_group_decomposition(NOT_ASSOC)
+        oracles.left_group_decomposition(NOT_ASSOC)
 
 
 def test_check_simple():
@@ -602,7 +593,7 @@ def test_decompose_certifies_every_twisted_relabelled_shape_up_to_64():
         # the order of the left group's group part
         assert retract(s).quotient.size == 1 << a
         mul, _ = derive_tables(s)
-        lg = left_group_decomposition(MultTable(s.size, mul))
+        lg = oracles.left_group_decomposition(MultTable(s.size, mul))
         assert lg.group_part.size == 1 << g
 
 
@@ -623,7 +614,7 @@ def test_non_involutive_solutions_have_no_certificate_and_keep_their_errors():
     ):
         assert check_pentagon(s) and not check_involutive(s)
         assert decompose(s) is None
-        for op in (classify, retract, is_irretractable):
+        for op in (classify, retract):
             with pytest.raises(ValidationError, match="requires an involutive table"):
                 op(s)
 
@@ -656,7 +647,7 @@ def test_find_isomorphism_matches_brute_force(rng):
 def test_idempotents_are_squares_and_right_identities():
     for s in small_involutive_panel():
         mult, _ = derive_tables(s)
-        idem = set(idempotents(MultTable(s.size, mult)))
+        idem = set(oracles.idempotents(MultTable(s.size, mult)))
         squares = {mult[x][x] for x in range(s.size)}
         assert idem == squares
         for e in idem:
@@ -683,8 +674,8 @@ def test_theta_on_left_zero_carrier_is_identity_or_fixed_point_free(rng):
 
 
 def test_is_associative():
-    assert is_associative(LEFT_ZERO_4)
-    assert not is_associative(NOT_ASSOC)
+    assert oracles.is_associative(LEFT_ZERO_4)
+    assert not oracles.is_associative(NOT_ASSOC)
 
 
 def test_bijection_inverse():

@@ -350,6 +350,14 @@ def test_retract_command(tmp_path, capsys):
     assert run(["retract", f"{GOLDEN}/cycle_1432_c2.solution"]) == 2
 
 
+def test_classify_names_itself_on_a_non_solution(capsys):
+    # the order-4 cycle solution is not involutive
+    assert run(["classify", f"{GOLDEN}/cycle_1432_c2.solution"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: classify requires an involutive table\n"
+
+
 def test_isomorphic_command(capsys):
     assert run(["isomorphic", "canonical(2,1,0)", "canonical(2,1,0)"]) == 0
     assert run(["isomorphic", "identity(2)", "irretractable(1)"]) == 1

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tokenize
 
+import pentagon
 from pentagon import SolutionTable, canonical_solution, cli, enumeration
 from pentagon.cli import run
 
@@ -118,6 +119,27 @@ def test_readme_library_tour_runs():
             assert re.match(re.escape(shown) + r"($|[ ,])", quoted[1]), (line, shown)
             checked.append(code.strip())
     assert "pg.classify(s)" in checked
+
+
+def test_readme_api_list_matches_the_package():
+    # the paragraph from "Solution families:" to "Monoid: ..." names only
+    # what the package exports, and names every analysis export
+    text = (ROOT / "README.md").read_text()
+    start = text.index("Solution families:")
+    paragraph = text[start:text.index("\n\n", start)]
+    assert "Monoid:" in paragraph
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", paragraph))
+    assert named
+    assert sorted(n for n in named if not hasattr(pentagon, n)) == []
+    tree = ast.parse((ROOT / "src" / "pentagon" / "__init__.py").read_text())
+    exported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "analysis"
+        for alias in node.names
+    }
+    assert exported
+    assert sorted(exported - named) == []
 
 
 def test_readme_quotes_the_search_node_counts():
