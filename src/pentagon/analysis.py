@@ -6,9 +6,8 @@ is a `decompose` certificate, an isomorphism onto `canonical_solution(x,
 a, g)` checked on every pair in n^2 work; a table without one takes the
 n^3 axiom checks, whose messages name the law that fails.  An involutive
 solution without a certificate would contradict the classification
-theorem, and raises too.  `classify` is the certificate's shape.  The
-quotient constructions additionally re-check their own well-definedness,
-which is cheap at these sizes and catches table bugs immediately.
+theorem, and raises too.  `classify` is the certificate's shape, and
+`retract` reads its classes off the certificate's a-coordinates.
 Everything here reads `derive_tables` rows; no `MultTable` is built.
 """
 
@@ -151,52 +150,26 @@ def _certificate(s: SolutionTable, op: str) -> tuple[Decomposition, Bijection]:
 
 
 def retract(s: SolutionTable) -> RetractResult:
-    """Quotient solution on the classes of elements sharing a theta map."""
-    _certificate(s, "retract")
-    n = s.size
-    mul, th = derive_tables(s)
-
-    # theta row -> class, numbered in the order of the rows' least members
-    index: dict[tuple[int, ...], int] = {}
-    class_of = [index.setdefault(row, len(index)) for row in th]
-    k = len(index)
-    members: list[list[int]] = [[] for _ in range(k)]
-    for x, c in enumerate(class_of):
-        members[c].append(x)
-
-    # the quotient multiplication collapses to the left factor: xy ~ x
-    for x in range(n):
-        for y in range(n):
-            if class_of[mul[x][y]] != class_of[x]:
-                raise ValidationError("quotient multiplication is not left zero")
-
-    # the members of class c1 share one theta row, so c1's image of c2 is
-    # read off that row alone
-    entries = [None] * (k * k)
-    for c1, row in enumerate(index):
-        for c2, grp2 in enumerate(members):
-            vals = {class_of[row[y]] for y in grp2}
-            if len(vals) != 1:
-                raise ValidationError("theta does not descend to the quotient")
-            entries[c1 * k + c2] = (c1, vals.pop())
-
-    sizes = tuple(len(grp) for grp in members)
-    if len(set(sizes)) > 1:
-        raise ValidationError("retract classes have unequal sizes")
-
-    return RetractResult(SolutionTable(k, tuple(entries)), tuple(class_of), sizes)
+    """Quotient solution on the classes of elements sharing a theta map,
+    read off the certificate f: s = canonical(x, a, g).  There theta_p is
+    xor with p's a-coordinate alpha, so p's class is alpha, and the
+    quotient sends (alpha, beta) to (alpha, alpha ^ beta) on A alone."""
+    shape, f = _certificate(s, "retract")
+    k = 1 << shape.a_dim
+    # a-coordinate -> class, numbered in the order of the classes' least members
+    index: dict[int, int] = {}
+    class_of = tuple(
+        index.setdefault(p >> shape.g_dim & k - 1, len(index)) for p in f.images
+    )
+    entries = tuple((c, index[u ^ v]) for c, u in enumerate(index) for v in index)
+    return RetractResult(SolutionTable(k, entries), class_of, (s.size // k,) * k)
 
 
 def retract_tower(s: SolutionTable) -> list[int]:
-    """Sizes of iterated retracts, ending when the size repeats."""
-    sizes = [s.size]
-    cur = s
-    while True:
-        nxt = retract(cur).quotient
-        sizes.append(nxt.size)
-        if nxt.size == cur.size:
-            return sizes
-        cur = nxt
+    """Sizes of iterated retracts, ending when the size repeats: the
+    retract of canonical(x, a, g) is canonical(1, a, 0), its own retract."""
+    n, k = s.size, 1 << _certificate(s, "retract")[0].a_dim
+    return [n, k] if k == n else [n, k, k]
 
 
 def classify(s: SolutionTable) -> Decomposition:

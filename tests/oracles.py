@@ -18,11 +18,13 @@ helpers that only the tests call: a non-abelian group for the
 constructor panels, the simplicity of the left groups that solutions
 carry, and literal powers of a permutation.
 
-`is_irretractable`, `abelian_structure` and `left_group_decomposition`,
-with its helpers `is_associative` and `idempotents`, are the paper's
-route to the parts of X x A x G: the retract of a solution is
-irretractable and its theta maps add as the group A, and its
-multiplication is a left group, the idempotents X times the group G.
+`retract_oracle`, `is_irretractable`, `abelian_structure` and
+`left_group_decomposition`, with its helpers `is_associative` and
+`idempotents`, are the paper's route to the parts of X x A x G: the
+retract of a solution, the quotient by equal theta maps checked to be
+well defined, is irretractable and its theta maps add as the group A,
+and the solution's multiplication is a left group, the idempotents X
+times the group G.
 They are the independent check on the parts that `decompose` reads off
 a certificate.
 
@@ -39,6 +41,7 @@ from typing import Optional, Sequence
 from pentagon import (
     GroupTable,
     MultTable,
+    RetractResult,
     SolutionTable,
     ValidationError,
     group_from_cayley,
@@ -578,6 +581,35 @@ def _theta_rows(s: SolutionTable) -> list:
 def is_irretractable(s: SolutionTable) -> bool:
     """Whether all theta maps of a solution are pairwise distinct."""
     return len(set(_theta_rows(s))) == s.size
+
+
+def retract_oracle(s: SolutionTable) -> RetractResult:
+    """The quotient by equal theta maps, classes numbered by least member,
+    built from the theta rows with the three checks that make it well
+    defined: the multiplication collapses to its left factor, theta
+    descends to the classes, and the classes have equal sizes."""
+    smap = as_map(s)
+    index: dict = {}
+    class_of = [index.setdefault(row, len(index)) for row in _theta_rows(s)]
+    members: list = [[] for _ in index]
+    for x, c in enumerate(class_of):
+        members[c].append(x)
+    for (x, _), (xy, _) in smap.items():
+        if class_of[xy] != class_of[x]:
+            raise ValidationError("quotient multiplication is not left zero")
+    entries = []
+    for c1, row in enumerate(index):
+        for grp in members:
+            images = {class_of[row[y]] for y in grp}
+            if len(images) != 1:
+                raise ValidationError("theta does not descend to the quotient")
+            entries.append((c1, images.pop()))
+    sizes = tuple(map(len, members))
+    if len(set(sizes)) > 1:
+        raise ValidationError("retract classes have unequal sizes")
+    return RetractResult(
+        SolutionTable(len(index), tuple(entries)), tuple(class_of), sizes
+    )
 
 
 def abelian_structure(s: SolutionTable) -> GroupTable:

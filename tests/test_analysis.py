@@ -99,9 +99,9 @@ def _theta_table(mul, theta):
     )
 
 
-def test_retract_checks_that_its_quotient_is_well_defined(monkeypatch):
-    # no solution fails these checks, so the solution check is patched out
-    monkeypatch.setattr(analysis, "_certificate", lambda s, op: None)
+def test_retract_checks_that_its_quotient_is_well_defined():
+    # no solution fails these checks, and the oracle takes the solution
+    # hypothesis from its caller, so these tables reach them
     left = ((0, 0, 0), (1, 1, 1), (2, 2, 2))  # x·y = x
     cases = [
         (((1, 0), (1, 1)), ((0, 1), (1, 0)), "quotient multiplication is not left zero"),
@@ -110,7 +110,7 @@ def test_retract_checks_that_its_quotient_is_well_defined(monkeypatch):
     ]
     for mul, theta, message in cases:
         with pytest.raises(ValidationError, match=message):
-            retract(_theta_table(mul, theta))
+            oracles.retract_oracle(_theta_table(mul, theta))
 
 
 def test_classify_without_a_certificate_contradicts_the_theorem(monkeypatch, capsys):
@@ -171,6 +171,14 @@ def test_retract_stabilizes_in_one_step():
         tower = retract_tower(s)
         assert len(tower) <= 3
         assert oracles.is_irretractable(retract(s).quotient)
+        # the tower read off the shape is the theta-row quotient iterated
+        sizes, cur = [s.size], s
+        while True:
+            cur = oracles.retract_oracle(cur).quotient
+            sizes.append(cur.size)
+            if sizes[-1] == sizes[-2]:
+                break
+        assert tower == sizes, s.size
 
 
 def test_abelian_structure_examples():
@@ -200,7 +208,8 @@ def test_abelian_structure_rejects_retractable():
 
 
 def test_classify_splits_the_table_once(monkeypatch):
-    # the idempotents come from the diagonal, not from a second split
+    # the idempotents come from the diagonal, and the retract's classes
+    # from the certificate, not from a second split
     calls = []
     real = analysis.derive_tables
 
@@ -209,9 +218,17 @@ def test_classify_splits_the_table_once(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(analysis, "derive_tables", spy)
-    c = classify(canonical_solution(3, 1, 1))
+    s = canonical_solution(3, 1, 1)
+    c = classify(s)
     assert (c.x_size, c.a_dim, c.g_dim) == (3, 1, 1)
-    assert len(calls) == 1
+    assert calls == [s]
+    for op, answer in (
+        (lambda t: retract(t).quotient, irretractable_solution(1)),
+        (retract_tower, [12, 2, 2]),
+    ):
+        calls.clear()
+        assert op(s) == answer
+        assert calls == [s]
 
 
 def test_analysis_builds_no_mult_table(monkeypatch):
@@ -591,7 +608,9 @@ def test_decompose_certifies_every_twisted_relabelled_shape_up_to_64():
         assert is_morphism(f, s, canonical_solution(x, a, g)), (x, a, g)
         # the paper's route to the parts: |A| is the retract size and |G|
         # the order of the left group's group part
-        assert retract(s).quotient.size == 1 << a
+        expected = oracles.retract_oracle(s)
+        assert retract(s) == expected, (x, a, g)
+        assert expected.quotient.size == 1 << a
         mul, _ = derive_tables(s)
         lg = oracles.left_group_decomposition(MultTable(s.size, mul))
         assert lg.group_part.size == 1 << g
