@@ -5,15 +5,14 @@ verify that hypothesis up front and raise on anything else.  The proof
 is a `decompose` certificate, an isomorphism onto `canonical_solution(x,
 a, g)` checked on every pair in n^2 work; a table without one takes the
 n^3 axiom checks, whose messages name the law that fails.  An involutive
-solution without a certificate would contradict the classification
-theorem, and raises too.  `classify` is the certificate's shape, and
-`retract` reads its classes off the certificate's a-coordinates.
-Everything here reads `derive_tables` rows; no `MultTable` is built.
+solution without one contradicts the classification theorem, and raises
+too.  `classify` is the certificate's shape; `retract` reads its classes
+off its a-coordinates.  Rows are the `derive_tables` rows, composed and
+packed by `core` in its one row format; no `MultTable` is built.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,8 +21,8 @@ from .core import (
     BudgetError,
     SolutionTable,
     ValidationError,
-    _BYTE_RANGE,
     _compose_rows,
+    _lanes,
     check_involutive,
     check_pentagon,
     cycle_type,
@@ -46,8 +45,8 @@ def _span_coordinates(gens, identity, mul, limit: int) -> Optional[dict]:
     """Coordinates of the span of `gens` in a greedy F2-basis under `mul`,
     from `identity` at 0: each generator outside the span so far doubles
     it, its products with the span taking the next bit.  None when a
-    product lands in the span, so the span is no group F2^k, or when the
-    span would outgrow `limit`."""
+    product is None or lands in the span, so the span is no group F2^k, or
+    when the span would outgrow `limit`."""
     coord = {identity: 0}
     for v in gens:
         if v not in coord:
@@ -55,7 +54,7 @@ def _span_coordinates(gens, identity, mul, limit: int) -> Optional[dict]:
             if 2 * bit > limit:
                 return None
             new = {mul(u, v): c | bit for u, c in coord.items()}
-            if len(new) != bit or not coord.keys().isdisjoint(new):
+            if None in new or len(new) != bit or not coord.keys().isdisjoint(new):
                 return None
             coord.update(new)
     return coord
@@ -71,8 +70,10 @@ def decompose(s: SolutionTable) -> Optional[tuple[Decomposition, Bijection]]:
     - the x-coordinate of p is the place in X of M[w][w], w = T[p][p];
     - the g-coordinate of p is that of M[e0][p] in a greedy F2-basis of
       row M[e0] under M;
-    - the a-coordinate of p is that of T[p] in a greedy F2-basis of the
-      T rows under composition.
+    - the a-coordinate of p is that of the least element with row T[p] in
+      a greedy F2-basis of such elements, u times v the least with row
+      T[u] o T[v]; None when there is none, as the T rows of s then are
+      not closed under composition, which those of a solution are.
     f counts only once it is checked on every pair.  canonical(x, a, g)
     sends (P, Q) to (P ^ (Q & GM), Q ^ (P & AM)), with GM and AM the
     masks of the g and the a bits, so row p holds when f o M[p] and
@@ -82,21 +83,7 @@ def decompose(s: SolutionTable) -> Optional[tuple[Decomposition, Bijection]]:
     """
     n = s.size
     M, T = derive_tables(s)
-    T, _, Tcomp = _compose_rows(T)
-    # f o row is compared as an int of n lanes, one per element, where
-    # xor with v in every lane is xor with v * ones
-    if n <= _BYTE_RANGE:  # bytes rows and byte lanes
-        identity, pad = bytes(range(n)), bytes(_BYTE_RANGE - n)
-        compose = lambda u, v: v.translate(u + pad)  # u after v
-        table = lambda r: bytes(r) + pad
-        lanes = lambda r: int.from_bytes(bytes(r), "little")
-    else:  # tuple rows, as in _compose_rows, and lanes of an array type
-        identity = tuple(range(n))
-        code = "H" if n <= 1 << 16 else "Q"
-        compose = lambda u, v: tuple(map(u.__getitem__, v))
-        table = tuple
-        lanes = lambda r: int.from_bytes(array(code, r).tobytes(), "little")
-
+    identity = tuple(range(n))
     xs = [e for e in range(n) if M[e][e] == e and T[e] == identity]
     if not xs:
         return None
@@ -108,7 +95,11 @@ def decompose(s: SolutionTable) -> Optional[tuple[Decomposition, Bijection]]:
     g_of = _span_coordinates(M[e0], e0, lambda u, v: M[u][v], n)
     if g_of is None:
         return None
-    a_of = _span_coordinates(T, identity, compose, n)
+    T, Ttab, Tcomp = _compose_rows(T)
+    least: dict = {}  # T row -> the least element with that row
+    theta = [least.setdefault(row, p) for p, row in enumerate(T)]
+    mul = lambda u, v: least.get(Tcomp[v](Ttab[u]))  # T[u] o T[v]
+    a_of = _span_coordinates(theta, theta[e0], mul, n)
     if a_of is None:
         return None
     shape = Decomposition(
@@ -117,17 +108,17 @@ def decompose(s: SolutionTable) -> Optional[tuple[Decomposition, Bijection]]:
     if shape.size != n:
         return None
     ad, gd = shape.a_dim, shape.g_dim
-    f = [(x << ad | a_of[t]) << gd | g_of[g] for x, t, g in zip(x_of, T, M[e0])]
+    f = [(x << ad | a_of[t]) << gd | g_of[g] for x, t, g in zip(x_of, theta, M[e0])]
     if len(set(f)) != n:  # every coordinate is in range, so f is onto 0..n-1
         return None
 
     gm, am = (1 << gd) - 1, ((1 << ad) - 1) << gd
     Mcomp = _compose_rows(M)[2]
-    ones, ftab = lanes([1] * n), table(f)
-    fg, fi = lanes([v & gm for v in f]), lanes(f)
+    rows, (ftab, _, _), _ = _compose_rows([f, [v & gm for v in f], [1] * n])
+    fi, fg, ones = map(_lanes, rows)
     for mc, tc, fp in zip(Mcomp, Tcomp, f):
-        if (lanes(mc(ftab)) != fg ^ fp * ones
-                or lanes(tc(ftab)) != fi ^ (fp & am) * ones):
+        if (_lanes(mc(ftab)) != fg ^ fp * ones
+                or _lanes(tc(ftab)) != fi ^ (fp & am) * ones):
             return None
     return shape, Bijection(tuple(f))
 

@@ -9,6 +9,8 @@ candidates without try/except.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
@@ -163,16 +165,16 @@ def perm_order(p: Sequence[int]) -> int:
 # first failing pair element by element.  The search propagates the
 # equation on its partial tables itself (`enumeration._propagate`).
 
-_BYTE_RANGE = 256  # the largest carrier whose rows are composed as bytes
+_BYTE_RANGE = 256  # the longest row composed as bytes
 
 
 def _compose_rows(rows: Sequence[Sequence[int]]) -> tuple[list, list, list]:
-    """The rows of a square table as (rows, tables, composers): rows that
-    compare by value, lookup tables, and per row the map r -> r o row from
-    a lookup table to a row.  Up to `_BYTE_RANGE` elements: `bytes`,
-    256-byte translation tables and `bytes.translate`; above: tuples, the
-    same tuples and an `itemgetter`."""
-    n = len(rows)
+    """Rows of one length n as (rows, tables, composers): rows that compare
+    by value, lookup tables, and per row the map r -> r o row from a lookup
+    table to a row.  The row length alone decides the format: up to
+    `_BYTE_RANGE` elements `bytes`, 256-byte translation tables and
+    `bytes.translate`; longer, tuples, the same tuples and `itemgetter`s."""
+    n = len(rows[0])
     if n <= _BYTE_RANGE:
         rows = list(map(bytes, rows))
         pad = bytes(256 - n)  # a translation table maps all 256 byte values
@@ -180,6 +182,13 @@ def _compose_rows(rows: Sequence[Sequence[int]]) -> tuple[list, list, list]:
     # n >= 2 here: itemgetter of a single index returns no tuple
     rows = list(map(tuple, rows))
     return rows, rows, [itemgetter(*row) for row in rows]
+
+
+def _lanes(row) -> int:
+    """A row of `_compose_rows` as an int of lanes, 8 bits each for `bytes`,
+    16 for tuples (n <= 2^16): xor with v * ones is xor with v in each lane."""
+    data = row if isinstance(row, bytes) else array("H", row).tobytes()
+    return int.from_bytes(data, sys.byteorder)
 
 
 def pentagon_witness(s: SolutionTable) -> Optional[tuple[int, int, int]]:

@@ -4,6 +4,7 @@ from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pentagon import (
     Bijection,
@@ -34,11 +35,15 @@ from pentagon import (
     retract,
     retract_tower,
 )
-from pentagon import analysis
+from pentagon import analysis, core
 from pentagon.cli import run
 from pentagon.constructors import Decomposition, SigmaMap
 
-from conftest import identity_with_one_cell_changed, small_involutive_panel
+from conftest import (
+    identity_with_one_cell_changed,
+    near_solutions,
+    small_involutive_panel,
+)
 import oracles
 
 LEFT_ZERO_4 = MultTable(4, tuple((i,) * 4 for i in range(4)))
@@ -485,6 +490,21 @@ def _twisted_relabelled(x, a, g, rng) -> SolutionTable:
     return relabel(twisted, rng.sample(range(n), n))
 
 
+TWISTED_SHAPES_UP_TO_64 = [
+    (x, a, g)
+    for a in range(7)
+    for g in range(7 - a)
+    for x in range(1, (64 >> (a + g)) + 1)
+]
+
+
+@st.composite
+def twisted_solutions(draw):
+    """A sigma-twisted relabelled solution of a shape with |S| <= 64."""
+    shape = draw(st.sampled_from(TWISTED_SHAPES_UP_TO_64))
+    return _twisted_relabelled(*shape, random.Random(draw(st.integers(0, 2**32))))
+
+
 def _linear_map(a, g):
     """((a,g),(b,h)) -> ((a, g^h), (a^b, h)) on V = F2^(a+g), the g bits
     low: F2-linear on V^2, since each output is an xor of masked inputs."""
@@ -594,14 +614,8 @@ def test_decompose_certifies_exactly_the_involutive_solutions():
 
 def test_decompose_certifies_every_twisted_relabelled_shape_up_to_64():
     rng = random.Random(247)
-    shapes = [
-        (x, a, g)
-        for a in range(7)
-        for g in range(7 - a)
-        for x in range(1, (64 >> (a + g)) + 1)
-    ]
-    assert len(shapes) == 247
-    for x, a, g in shapes:
+    assert len(TWISTED_SHAPES_UP_TO_64) == 247
+    for x, a, g in TWISTED_SHAPES_UP_TO_64:
         s = _twisted_relabelled(x, a, g, rng)
         shape, f = decompose(s)
         assert shape == Decomposition(x, a, g)
@@ -614,6 +628,36 @@ def test_decompose_certifies_every_twisted_relabelled_shape_up_to_64():
         mul, _ = derive_tables(s)
         lg = oracles.left_group_decomposition(MultTable(s.size, mul))
         assert lg.group_part.size == 1 << g
+
+
+def decompose_with_route_spy(s, byte_range):
+    """`decompose(s)` under a given byte range, and per `_compose_rows`
+    call whether its rows were the wide route's tuples."""
+    routes = []
+    compose_rows = core._compose_rows
+
+    def spy(rows):
+        composed = compose_rows(rows)
+        routes.append(type(composed[0][0]) is tuple)
+        return composed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BYTE_RANGE", byte_range)
+        mp.setattr(analysis, "_compose_rows", spy)
+        return decompose(s), routes
+
+
+@given(s=st.one_of(near_solutions(), twisted_solutions()))
+def test_decompose_gives_one_certificate_on_both_routes(s):
+    # a byte range of 1 puts every carrier above one element on the wide
+    # route; a solution reaches the row compares and so composes rows
+    want = decompose(s)
+    for byte_range in (1, 256):
+        got, routes = decompose_with_route_spy(s, byte_range)
+        assert got == want
+        assert set(routes) <= {s.size > byte_range}
+        if check_involutive(s) and check_pentagon(s):
+            assert want is not None and routes
 
 
 def test_decompose_stops_a_span_that_outgrows_the_carrier():

@@ -204,12 +204,20 @@ def test_byte_rows_cover_exactly_the_byte_range():
 
 
 def test_compose_rows_switches_to_tuples_above_the_byte_range():
+    # the row length decides, so a single row, such as a row of ones,
+    # comes back in the format of its carrier's n rows
     for n in (256, 257):
+        kind, width = (bytes, 8) if n == 256 else (tuple, 16)
         identity = [tuple(range(n))] * n
         rows, tables, composers = core._compose_rows(identity)
-        assert {type(r) for r in rows} == {bytes if n == 256 else tuple}
+        assert {type(r) for r in rows} == {kind}
         assert list(rows[0]) == list(range(n))
         assert composers[0](tables[1]) == rows[2]
+        (ones,), (table,), (composer,) = core._compose_rows([[1] * n])
+        assert type(ones) is kind and list(ones) == [1] * n
+        assert composers[0](table) == ones and composer(tables[0]) == ones
+        assert core._lanes(ones) == sum(1 << width * i for i in range(n))
+        assert core._lanes(rows[0]) == sum(i << width * i for i in range(n))
 
 
 @given(s=near_solutions())

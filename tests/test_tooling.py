@@ -182,3 +182,18 @@ def test_the_package_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "pentagon", (
                     path.name, name)
+
+
+def test_only_core_knows_the_row_format():
+    # bytes or tuple rows, their lookup tables and their lanes are built
+    # in core alone, which `_compose_rows` and `_lanes` hand out; monoid's
+    # arrays are the growth strata's node stores, not rows
+    for path in sorted((ROOT / "src" / "pentagon").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        text = path.read_text()
+        tokens = ["_BYTE_RANGE", ".translate(", "from_bytes("]
+        if path.name != "monoid.py":
+            tokens.append("array(")
+        for token in tokens:
+            assert token not in text, (path.name, token)
