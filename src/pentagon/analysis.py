@@ -13,6 +13,7 @@ packed by `core` in its one row format; no `MultTable` is built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,10 +187,10 @@ def _element_signatures(s: SolutionTable) -> list[tuple]:
     for x in range(n):
         row = th[x]
         if row not in shapes:
-            if sorted(row) == list(range(n)):
+            if len(set(row)) == n:  # n values: a permutation
                 shapes[row] = ("perm", cycle_type(row))
-            else:
-                shapes[row] = ("map", tuple(sorted(row.count(v) for v in set(row))))
+            else:  # fibre sizes, counted in one pass
+                shapes[row] = ("map", tuple(sorted(Counter(row).values())))
         sigs.append((mul[x][x] == x, shapes[row]))
     return sigs
 

@@ -59,7 +59,6 @@ from .monoid import (
     DEFAULT_WORD_BUDGET,
     estimate_growth_degree,
     growth_series,
-    rank_expected,
 )
 
 HEADER = "pentagon-solution v1"
@@ -435,11 +434,8 @@ def _cmd_growth(args, report: _Report) -> int:
             degree=est.degree,
             onset=est.onset,
         )
-    try:
-        rank = rank_expected(s)
-    except ValidationError:
-        rank = None
-    if rank is not None:
+    if (certificate := decompose(s)) is not None:
+        rank = certificate[0].x_size
         report.say(f"expected rank {rank}", expected_rank=rank)
     return 0
 

@@ -44,10 +44,12 @@ class MonoidPresentation:
     def __post_init__(self):
         if self.generators < 1:
             raise ValidationError("generators must be at least 1")
+        n = self.generators
         for lhs, rhs in self.relations:
             if len(lhs) != 2 or len(rhs) != 2:
                 raise ValidationError("relations must pair words of length 2")
-            if any(not 0 <= v < self.generators for v in lhs + rhs):
+            (a, b), (c, d) = lhs, rhs
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
                 raise ValidationError("relation letter out of range")
 
 
@@ -99,10 +101,10 @@ def _strata(
         raise ValidationError("word budget must be non-negative")
     n = pres.generators
     # a block is a set of letter pairs to join, as its first pair and the
-    # rest; at length 2 each relation is the block of its two sides
+    # rest; length 2 reads blocks first, one per relation, of its two sides
     blocks = [
         (a, b, ((c, d),)) for (a, b), (c, d) in pres.relations if (a, b) != (c, d)
-    ]
+    ] if length >= 2 else []
     strata = [array("i", [0])]
     q_prev = array("i")  # node at ell-1  ->  class at ell-1
     c_prev2 = 0

@@ -391,24 +391,25 @@ def test_find_isomorphism_leaves_no_garbage():
         gc.enable()
 
 
+def _signatures_per_row(s):
+    """The element signatures, each row's shape computed afresh."""
+    mul, th = derive_tables(s)
+    n = s.size
+    sigs = []
+    for x in range(n):
+        row = th[x]
+        if sorted(row) == list(range(n)):
+            shape = ("perm", core.cycle_type(row))
+        else:
+            shape = ("map", tuple(sorted(row.count(v) for v in set(row))))
+        sigs.append((mul[x][x] == x, shape))
+    return sigs
+
+
 def test_element_signatures_compute_each_theta_row_shape_once(monkeypatch):
     # on a solution theta_x depends only on x's A-coordinate, so a shape
     # is computed once per distinct row; the signatures are unchanged
     real = analysis.cycle_type
-
-    def per_row(s):
-        mul, th = derive_tables(s)
-        n = s.size
-        sigs = []
-        for x in range(n):
-            row = th[x]
-            if sorted(row) == list(range(n)):
-                shape = ("perm", real(row))
-            else:
-                shape = ("map", tuple(sorted(row.count(v) for v in set(row))))
-            sigs.append((mul[x][x] == x, shape))
-        return sigs
-
     calls = []
 
     def spy(row):
@@ -421,14 +422,34 @@ def test_element_signatures_compute_each_theta_row_shape_once(monkeypatch):
     for _ in range(3):
         s = relabel(base, rng.sample(range(64), 64))
         calls.clear()
-        assert analysis._element_signatures(s) == per_row(s)
+        assert analysis._element_signatures(s) == _signatures_per_row(s)
         assert len(calls) == 4
     # not a solution: repeated and distinct rows, bijective or not
     rows = ((0, 0, 2, 3), (1, 0, 3, 2), (1, 0, 3, 2), (3, 3, 3, 3))
     odd = SolutionTable(4, tuple((x, y) for x in range(4) for y in rows[x]))
     calls.clear()
-    assert analysis._element_signatures(odd) == per_row(odd)
+    assert analysis._element_signatures(odd) == _signatures_per_row(odd)
     assert len(calls) == 1
+
+
+def test_element_signatures_count_each_theta_row_in_one_pass(monkeypatch):
+    # a non-bijective theta row's fibre sizes come from one Counter of the
+    # row, not from one row.count per value, which is cubic in n
+    rows = []
+
+    def spy(row):
+        rows.append(row)
+        return Counter(row)
+
+    monkeypatch.setattr(analysis, "Counter", spy)
+    rng = random.Random(38)
+    for n in (3, 5, 9, 16):
+        for s in (oracles.random_table(n, rng), oracles.random_involution_table(n, rng)):
+            th = derive_tables(s)[1]
+            rows.clear()
+            assert analysis._element_signatures(s) == _signatures_per_row(s)
+            maps = [row for row in dict.fromkeys(th) if sorted(row) != list(range(n))]
+            assert maps and rows == maps
 
 
 def test_find_isomorphism_maps_every_shape_to_its_canonical_solution():

@@ -34,6 +34,7 @@ from pentagon.cli import (
     run,
 )
 
+import oracles
 from conftest import (
     identity_with_one_cell_changed,
     near_solutions,
@@ -476,6 +477,38 @@ def test_growth_command(capsys):
     assert "series 1 2 2 2 2 2 2" in out
     assert "degree 1" in out
     assert "expected rank 1" in out
+
+
+def test_growth_without_a_certificate_prints_no_rank_and_checks_no_law(
+    tmp_path, monkeypatch, capsys
+):
+    # the rank line reads the certificate's x; on an involutive table that
+    # fails the pentagon equation there is none, and no law is checked
+    rng = random.Random(38)
+    s = next(
+        t for t in (oracles.random_involution_table(4, rng) for _ in range(50))
+        if not core.check_pentagon(t)
+    )
+    assert core.check_involutive(s) and analysis.decompose(s) is None
+    path = tmp_path / "involutive.solution"
+    path.write_text(emit_solution(s))
+    calls = []
+
+    def spy(name, real):
+        def checked(*args):
+            calls.append(name)
+            return real(*args)
+        return checked
+
+    for module, name in ((core, "check_involutive"), (core, "pentagon_witness"),
+                         (analysis, "check_involutive"), (analysis, "check_pentagon")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    assert run(["growth", str(path), "--length", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("series 1 4 ") and "expected rank" not in out
+    assert run(["--json", "growth", str(path), "--length", "3"]) == 0
+    assert "expected_rank" not in json.loads(capsys.readouterr().out)["results"]
+    assert calls == []
 
 
 def test_growth_budget(capsys):

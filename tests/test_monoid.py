@@ -158,6 +158,42 @@ def test_presentation_needs_a_generator(generators):
         MonoidPresentation(generators, ())
 
 
+LENGTH_MESSAGE = "relations must pair words of length 2"
+LETTER_MESSAGE = "relation letter out of range"
+
+
+def _relation_with(place, letter):
+    """The relation (1, 1) = (1, 1) with `letter` at one of its four places."""
+    w = [1, 1, 1, 1]
+    w[place] = letter
+    return (w[0], w[1]), (w[2], w[3])
+
+
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        ((((0,), (1, 0)),), LENGTH_MESSAGE),
+        ((((0, 1), (1, 0, 1)),), LENGTH_MESSAGE),
+        ((((0, 1), ()),), LENGTH_MESSAGE),
+        # a letter equal to the generators, past them, or negative, at
+        # each of the four places
+        *(
+            ((_relation_with(place, bad),), LETTER_MESSAGE)
+            for bad in (3, 7, -1)
+            for place in range(4)
+        ),
+        # the first faulty relation decides, its length before its letters
+        ((((0, 1), (1, 0)), ((0, 3), (1,)), ((5, 0), (0, 0))), LENGTH_MESSAGE),
+        ((((0, 1), (1, 0)), ((5, 0), (0, 0)), ((0,), (0, 0))), LETTER_MESSAGE),
+        ((((2, 2), (2, 2)), ((0,), (0, 0)), ((-1, 0), (0, 0))), LENGTH_MESSAGE),
+    ],
+)
+def test_presentation_names_its_first_faulty_relation(relations, message):
+    with pytest.raises(ValidationError) as exc:
+        MonoidPresentation(3, relations)
+    assert str(exc.value) == message
+
+
 def test_growth_series_budget():
     # canonical(3,1,1) has 12 classes at length 1, so 144 nodes at length 2
     with pytest.raises(BudgetError):
