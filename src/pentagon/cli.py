@@ -392,7 +392,9 @@ def _cmd_isomorphic(args, report: _Report) -> int:
 
 
 def _cmd_enumerate(args, report: _Report) -> int:
-    rep = count_up_to_iso(args.size, budget_ms=args.budget_ms, workers=args.workers)
+    if args.workers < 1:
+        raise ValidationError("workers must be at least 1")
+    rep = count_up_to_iso(args.size, budget_ms=args.budget_ms)
     if not args.up_to_iso:
         report.say(f"size {args.size}: {rep.raw_count} tables", raw_count=rep.raw_count)
         return 0
@@ -506,7 +508,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--budget-ms", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; the search runs in one process",
+    )
 
     p = sub.add_parser("sigma-search", help="permutations usable by the cycle family")
     p.set_defaults(handler=_cmd_sigma_search)

@@ -9,13 +9,13 @@ assignment a propagator closes the partial table under the equation:
 the first coordinates form an associative table, so the search keeps a
 layer F of first coordinates known before their cells are; the half
 on second coordinates, which equates one cell with coordinates of two
-others, is read both ways.  The search state is two flat
-lists, F of first and T of second coordinates, copied at each node, and
-each prefix of the split carries that state closed, so it resumes there.
-The search runs on raw tables, so nothing about the classification
-theory is assumed; the theory becomes a checkable output.  The
-row-major search without symmetry breaking and the naive route (every
-involution of the n^2 pair points, filtered) live with the test oracles.
+others, is read both ways.  The search state is two flat lists, F of
+first and T of second coordinates, copied at each node, and the whole
+search runs in the calling process.  It runs on raw tables, so nothing
+about the classification theory is assumed; the theory becomes a
+checkable output.  The row-major search without symmetry breaking and
+the naive route (every involution of the n^2 pair points, filtered)
+live with the test oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, inf, isfinite, isqrt
+from math import comb, inf, isfinite
 
 from .core import (
     BudgetError,
@@ -41,7 +41,7 @@ class EnumerationReport:
     class_count: int
     representatives: tuple[SolutionTable, ...]
     class_triples: tuple[tuple[int, int, int], ...]  # one per representative
-    nodes: int  # assignments the search tried, independent of the workers
+    nodes: int  # assignments the search tried
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +88,9 @@ class EnumerationReport:
 # neither does the search tree.
 # Each value tried copies its node's two layers, at most 49 cells each,
 # so nothing is undone (Schulte, ICLP 1999).  The cell order is sorted
-# once per search, and the split hands it to each prefix with the
-# prefix's closure (F, T, m), so `_finish` resumes exactly where the
-# split stopped and the node count does not depend on the worker count.
-# With `workers` > 1 the calling process finishes prefixes too, beside
-# workers - 1 helper processes; each process draws the next prefix from
-# one shared counter, since the largest prefix holds 30-45% of the nodes
-# at sizes 5-8 and a fixed share per process would leave the others idle.
+# once per search, and one search runs from `_root` to the last leaf in
+# the calling process: splitting it over helper processes was no faster
+# at any size up to 7.
 # The deadline `at` is a point on the monotonic clock (inf without a
 # budget), read before every assignment.
 
@@ -105,7 +101,7 @@ def _cell_order(n: int) -> list[int]:
 
 
 def _root(n: int) -> tuple[list[int], list[int], int]:
-    """The closed state the search starts from, as a prefix (F, T, m):
+    """The closed state the search starts from, as (F, T, m):
     s(0,0) = (0,0), its own partner, and nothing else.  The only triple
     it reads is (0,0,0), which holds, so the closure writes nothing."""
     F, T = [-1] * (n * n), [-1] * (n * n)
@@ -206,25 +202,23 @@ def _propagate(n: int, F: list[int], T: list[int], x: int = 0) -> bool:
 
 
 def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
-            m: int, at: float, out: list, depth: int = -1) -> int:
-    """Append every consistent extension of (F, T) to `out`; return the
-    assignments tried, its own and its children's.
+            m: int, at: float, out: list) -> int:
+    """Append every complete consistent extension of (F, T) to `out`;
+    return the assignments tried, its own and its children's.
 
     Cells before `pos` in `order` are assigned, m is the largest element
     the assigned cells mention, and F and T are closed under `_propagate`.
     The cell tried is the first unassigned one from `pos` on whose F is
     known, else the first unassigned one, so a child resumes at `pos`.
     Each value tried writes a copy of the two layers, so a node never
-    changes its parent's.  With a negative depth the search runs to the
-    end and appends each complete table; otherwise it stops at a complete
-    table or after `depth` more decisions and appends the prefix (F, T, m).
-    Raises BudgetError at the first assignment after the deadline `at`.
+    changes its parent's.  Raises BudgetError at the first assignment
+    after the deadline `at`.
     """
     end = len(order)
     while pos < end and T[order[pos]] >= 0:
         pos += 1
-    if pos == end or depth == 0:
-        out.append(tuple(zip(F, T)) if depth < 0 else (F, T, m))
+    if pos == end:
+        out.append(tuple(zip(F, T)))
         return 0
     p = order[pos]
     if F[p] < 0:  # fail first: the next cell whose F is known, if any
@@ -246,76 +240,8 @@ def _search(n: int, F: list[int], T: list[int], order: list[int], pos: int,
             F2[p], T2[p] = k, l
             F2[q], T2[q] = i, j
             if _propagate(n, F2, T2, i):
-                nodes += _search(n, F2, T2, order, pos, max(m, k, l), at, out,
-                                 depth - 1)
+                nodes += _search(n, F2, T2, order, pos, max(m, k, l), at, out)
     return nodes
-
-
-def _finish(task: tuple) -> tuple[list[tuple], int]:
-    """The complete tables extending one prefix that `_search` emitted,
-    and the assignments tried; a task is (order, prefix, at), with the
-    search's cell order on n * n cells."""
-    order, (F, T, m), at = task
-    out: list[tuple] = []
-    return out, _search(isqrt(len(order)), F, T, order, 0, m, at, out)
-
-
-def _draw(counter, tasks: list[tuple]) -> list[tuple[list[tuple], int]]:
-    """`_finish` each task whose index this process draws next from the
-    shared `counter`, until the counter passes the last task."""
-    done = []
-    while True:
-        with counter.get_lock():
-            k = counter.value
-            counter.value = k + 1
-        if k >= len(tasks):
-            return done
-        done.append(_finish(tasks[k]))
-
-
-def _helper(counter, tasks: list[tuple], conn) -> None:
-    """A helper process: send back what `_draw` finishes, or the
-    exception it raised."""
-    try:
-        conn.send(_draw(counter, tasks))
-    except Exception as exc:
-        conn.send(exc)
-    finally:
-        conn.close()
-
-
-def _finish_all(tasks: list[tuple], workers: int) -> list[tuple[list[tuple], int]]:
-    """`_finish` every task, on `workers` processes in total: this one and
-    up to workers - 1 helpers, each drawing the next task from one shared
-    counter.  A helper's exception is raised here; every helper has ended
-    when this returns or raises."""
-    helpers = min(workers, len(tasks)) - 1
-    if helpers < 1:
-        return list(map(_finish, tasks))
-    import multiprocessing
-
-    counter = multiprocessing.Value("i", 0)
-    started = []
-    try:
-        for _ in range(helpers):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_helper,
-                                           args=(counter, tasks, send))
-            proc.start()
-            started.append((proc, recv))
-            send.close()  # so recv sees EOF if the helper dies unheard
-        results = _draw(counter, tasks)
-        for _, recv in started:
-            got = recv.recv()
-            if isinstance(got, Exception):
-                raise got
-            results += got
-    finally:
-        for proc, recv in started:
-            proc.terminate()  # one that has sent its result has no work left
-            proc.join()
-            recv.close()
-    return results
 
 
 def _orbit(n: int, cells: tuple) -> set[tuple]:
@@ -323,26 +249,18 @@ def _orbit(n: int, cells: tuple) -> set[tuple]:
     return {relabel_cells(cells, p, n) for p in permutations(range(n))}
 
 
-def _orbits(
-    n: int, budget_ms: float | None, workers: int
-) -> tuple[list[set[tuple]], int]:
+def _orbits(n: int, budget_ms: float | None) -> tuple[list[set[tuple]], int]:
     """The Sym(n)-orbits of the tables the search finds, one per class,
-    each expanded once, and the assignments the search tried;
-    `enumerate_pruned` describes the search."""
+    each expanded once, and the assignments the search tried, in one
+    search from `_root`; `enumerate_pruned` describes the search."""
     if not 1 <= n <= 7:
         raise ValidationError("pruned enumeration is limited to sizes 1..7")
-    if workers < 1:
-        raise ValidationError("workers must be at least 1")
     if budget_ms is not None and not (isfinite(budget_ms) and budget_ms >= 0):
         raise ValidationError("budget_ms must be a finite number, 0 or more")
     at = inf if budget_ms is None else time.monotonic() + budget_ms / 1000
-    order = _cell_order(n)
     F, T, m = _root(n)
-    prefixes: list[tuple] = []
-    nodes = _search(n, F, T, order, 0, m, at, prefixes, depth=2)
-    results = _finish_all([(order, prefix, at) for prefix in prefixes], workers)
-    nodes += sum(tried for _, tried in results)
-    tables = [t for chunk, _ in results for t in chunk]
+    tables: list[tuple] = []
+    nodes = _search(n, F, T, _cell_order(n), 0, m, at, tables)
     orbits: list[set[tuple]] = []
     seen: set[tuple] = set()
     for t in tables:
@@ -354,21 +272,16 @@ def _orbits(
     return orbits, nodes
 
 
-def enumerate_pruned(
-    n: int, budget_ms: float | None = None, workers: int = 1
-) -> list[SolutionTable]:
+def enumerate_pruned(n: int, budget_ms: float | None = None) -> list[SolutionTable]:
     """Every involutive solution of size n, sorted; sizes 1..7.
 
-    The symmetry-broken search finds at least one table of every
-    isomorphism class; their orbits under Sym(n) give every table.  The
-    search splits into prefixes after two decisions, then finishes them
-    on `workers` processes in total, this one included, each drawing the
-    next prefix from one shared counter.  The clock is read
-    before every assignment and before each orbit is expanded; raises
-    BudgetError instead of silently truncating when the time budget runs
-    out.  The output is independent of the worker count.
+    The symmetry-broken search, run once in this process, finds at least
+    one table of every isomorphism class; their orbits under Sym(n) give
+    every table.  The clock is read before every assignment and before
+    each orbit is expanded; raises BudgetError instead of silently
+    truncating when the time budget runs out.
     """
-    orbits, _ = _orbits(n, budget_ms, workers)
+    orbits, _ = _orbits(n, budget_ms)
     # (k, l) pairs sort like their codes k*n + l
     return [SolutionTable(n, t) for t in sorted(set().union(*orbits))]
 
@@ -403,9 +316,7 @@ def expected_count(n: int) -> int:
     return comb(k + 2, 2)
 
 
-def count_up_to_iso(
-    n: int, budget_ms: float | None = None, workers: int = 1
-) -> EnumerationReport:
+def count_up_to_iso(n: int, budget_ms: float | None = None) -> EnumerationReport:
     """Enumerate, then group into isomorphism classes.
 
     The classes are the orbits under Sym(n), each expanded once.  An
@@ -414,7 +325,7 @@ def count_up_to_iso(
     two classes with the same triple contradict the classification
     theorem and raise ValidationError.
     """
-    orbits, nodes = _orbits(n, budget_ms, workers)
+    orbits, nodes = _orbits(n, budget_ms)
     reps: list[SolutionTable] = []
     triples: list[tuple[int, int, int]] = []
     for least in sorted(map(min, orbits)):

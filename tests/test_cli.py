@@ -422,6 +422,24 @@ def test_enumerate_refuses_fewer_than_one_worker(capsys):
         assert "workers must be at least 1" in capsys.readouterr().err
 
 
+def test_enumerate_starts_no_process_for_workers(monkeypatch, capsys):
+    # --workers is accepted for compatibility: the search runs in this
+    # process, so a Process that cannot start changes nothing
+    import multiprocessing
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was created")
+
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
+    results = []
+    for workers in ("2", "1"):
+        argv = ["--json", "enumerate", "--size", "5", "--up-to-iso",
+                "--workers", workers]
+        assert run(argv) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1]
+
+
 def test_enumerate_refuses_a_non_finite_budget(capsys):
     # nan and inf would run the whole search unbudgeted and put values
     # that are not JSON into the report's inputs; a negative budget can

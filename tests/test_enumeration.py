@@ -1,9 +1,5 @@
 import json
-import os
-import pathlib
 import random
-import subprocess
-import sys
 import time
 from itertools import permutations
 from math import inf
@@ -33,8 +29,6 @@ from pentagon.cli import run
 from pentagon.enumeration import _cell_order, _propagate
 
 import oracles
-
-SRC = pathlib.Path(__file__).parent.parent / "src"
 
 SIZE_SIX_SHAPES = ((6, 0, 0), (3, 1, 0), (3, 0, 1))
 
@@ -118,13 +112,21 @@ def test_closure_under_relabeling(rng):
             assert relabel(s, perm) in tables
 
 
-def test_worker_count_does_not_change_output():
+def enumerate_output(capsys, n, workers):
+    """What `enumerate --size n --up-to-iso --workers w` prints."""
+    assert run(["enumerate", "--size", str(n), "--up-to-iso",
+                "--workers", str(workers)]) == 0
+    return capsys.readouterr().out
+
+
+def test_worker_count_does_not_change_output(capsys):
+    # --workers is accepted and the search runs in this process either way
     for n in (2, 3):
-        assert enumerate_pruned(n, workers=1) == enumerate_pruned(n, workers=2)
+        assert enumerate_output(capsys, n, 1) == enumerate_output(capsys, n, 2)
 
 
-def test_worker_count_does_not_change_output_size_four():
-    assert enumerate_pruned(4, workers=2) == enumerate_pruned(4, workers=1)
+def test_worker_count_does_not_change_output_size_four(capsys):
+    assert enumerate_output(capsys, 4, 2) == enumerate_output(capsys, 4, 1)
 
 
 def test_budget_exceeded_raises():
@@ -132,9 +134,11 @@ def test_budget_exceeded_raises():
         enumerate_pruned(6, budget_ms=40)
 
 
-def test_budget_exceeded_raises_with_workers():
-    with pytest.raises(BudgetError):
-        enumerate_pruned(6, budget_ms=40, workers=2)
+def test_budget_exceeded_raises_with_workers(capsys):
+    # the CLI turns the search's BudgetError into exit 3 whatever --workers says
+    assert run(["enumerate", "--size", "6", "--budget-ms", "40",
+                "--workers", "2"]) == 3
+    assert "budget exceeded" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -5.0])
@@ -146,12 +150,12 @@ def test_non_finite_budget_is_refused_before_the_search(monkeypatch, budget):
     with pytest.raises(ValidationError, match="finite"):
         enumerate_pruned(4, budget_ms=budget)
     with pytest.raises(ValidationError, match="finite"):
-        count_up_to_iso(4, budget_ms=budget, workers=2)
+        count_up_to_iso(4, budget_ms=budget)
 
 
 def early_then_late(early_reads):
-    """A monotonic clock an hour early for its first `early_reads` reads
-    in this process, true afterwards (so at once in a fresh worker)."""
+    """A monotonic clock an hour early for its first `early_reads` reads,
+    true afterwards."""
     real = time.monotonic
     reads = 0
 
@@ -161,35 +165,6 @@ def early_then_late(early_reads):
         return real() - 3600 if reads <= early_reads else real()
 
     return SimpleNamespace(monotonic=monotonic)
-
-
-def split(n):
-    """The assignments the depth-2 split of the size-n search tries from
-    its root, and the prefixes it emits."""
-    F, T, m = enumeration._root(n)
-    prefixes = []
-    nodes = enumeration._search(n, F, T, _cell_order(n), 0, m, inf, prefixes,
-                                depth=2)
-    return nodes, len(prefixes)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_budget_is_checked_inside_each_prefix(monkeypatch, workers):
-    # a deadline that passes after the split: the clock stays early for
-    # setting the deadline and for the split's assignments, so the first
-    # late read falls inside a prefix, in every process
-    finished = []
-    real_finish = enumeration._finish
-
-    def finish(task):
-        finished.append(task)
-        return real_finish(task)
-
-    monkeypatch.setattr(enumeration, "_finish", finish)
-    monkeypatch.setattr(enumeration, "time", early_then_late(1 + split(5)[0]))
-    with pytest.raises(BudgetError):
-        enumerate_pruned(5, budget_ms=1000, workers=workers)
-    assert finished  # this process started a prefix: the split finished
 
 
 def test_search_stops_at_the_first_assignment_after_the_deadline(monkeypatch):
@@ -223,120 +198,6 @@ def test_budget_covers_the_orbit_expansion(monkeypatch):
     monkeypatch.setattr(enumeration, "_orbit", late_orbit)
     with pytest.raises(BudgetError):
         count_up_to_iso(6, budget_ms=60000)
-
-
-def test_helpers_are_fewer_than_the_prefixes(monkeypatch):
-    # helper processes that run in this one and are counted: a huge
-    # --workers must not ask the OS for more processes than there are
-    # prefixes to finish, this process finishing some of them too
-    import multiprocessing
-
-    helpers = []
-
-    class FakeProcess:
-        def __init__(self, target, args):
-            self.target, self.args = target, args
-            helpers.append(self)
-
-        def start(self):
-            self.target(*self.args)
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing, "Process", FakeProcess)
-    tables = enumerate_pruned(4, workers=10**6)
-    assert 1 <= len(helpers) <= split(4)[1] - 1
-    assert tables == enumerate_pruned(4, workers=1)
-
-
-def test_budget_covers_prefix_split(monkeypatch):
-    # the split reads the clock before each of its assignments: a spent
-    # budget must stop the search before any helper starts
-    import multiprocessing
-
-    def no_helper(*args, **kwargs):
-        pytest.fail("a helper process was created after the budget ran out")
-
-    monkeypatch.setattr(multiprocessing, "Process", no_helper)
-    with pytest.raises(BudgetError):
-        enumerate_pruned(6, budget_ms=0, workers=2)
-
-
-def test_no_helper_outlives_a_run():
-    import multiprocessing
-
-    assert enumerate_pruned(5, workers=2) == enumerate_pruned(5, workers=1)
-    assert multiprocessing.active_children() == []
-
-
-def test_no_helper_outlives_a_spent_budget_in_a_helper(monkeypatch, capsys):
-    # the clock is true in helpers, so each one raises BudgetError at its
-    # first assignment, and early in this process, whose first prefix
-    # waits for them to end, so that they draw prefixes and raise first
-    import multiprocessing
-
-    here, real = os.getpid(), time.monotonic
-    clock = SimpleNamespace(
-        monotonic=lambda: real() - 3600 if os.getpid() == here else real())
-    real_finish = enumeration._finish
-
-    def finish(task):
-        if os.getpid() == here:
-            waited = real() + 60
-            while multiprocessing.active_children() and real() < waited:
-                time.sleep(0.01)
-        return real_finish(task)
-
-    monkeypatch.setattr(enumeration, "time", clock)
-    monkeypatch.setattr(enumeration, "_finish", finish)
-    assert run(["enumerate", "--size", "5", "--up-to-iso", "--workers", "2",
-                "--budget-ms", "1000"]) == 3
-    assert "budget exceeded" in capsys.readouterr().out
-    assert multiprocessing.active_children() == []
-
-
-def test_no_helper_outlives_a_spent_budget_in_this_process(monkeypatch, capsys):
-    # the deadline passes in this process's first prefix while the helper
-    # is stuck in its own: the helper must be stopped, not waited for
-    import multiprocessing
-
-    here = os.getpid()
-    real_finish = enumeration._finish
-
-    def finish(task):
-        if os.getpid() != here:
-            time.sleep(60)
-        return real_finish(task)
-
-    monkeypatch.setattr(enumeration, "_finish", finish)
-    monkeypatch.setattr(enumeration, "time", early_then_late(1 + split(6)[0]))
-    started = time.monotonic()
-    assert run(["enumerate", "--size", "6", "--up-to-iso", "--workers", "2",
-                "--budget-ms", "1000"]) == 3
-    assert time.monotonic() - started < 30
-    assert "budget exceeded" in capsys.readouterr().out
-    assert multiprocessing.active_children() == []
-
-
-def test_helpers_run_under_the_spawn_start_method():
-    # macOS starts processes by spawn, and Python 3.14 defaults to
-    # forkserver on Linux: helpers then import the package afresh
-    script = (
-        "import multiprocessing\n"
-        "from pentagon import count_up_to_iso, enumerate_pruned\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        "assert enumerate_pruned(4, workers=2) == enumerate_pruned(4)\n"
-        "assert count_up_to_iso(5, workers=2) == count_up_to_iso(5)\n"
-        "assert multiprocessing.active_children() == []\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
 
 
 def split_cells(cells):
@@ -504,65 +365,37 @@ def test_the_closure_writes_only_facts_of_every_solution_it_allows():
     assert wrote > 1000 and refused > 1000 and kept > 1000
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_split_prefixes_carry_the_closure_of_their_cells(monkeypatch, n):
-    # the split hands each prefix over closed; propagating its assigned
-    # cells alone must reach exactly that closure, or the node count
-    # would depend on where a prefix is finished
-    prefixes = []
-
-    def finish(task):
-        prefixes.append(task[1])
-        return [], 0
-
-    monkeypatch.setattr(enumeration, "_finish", finish)
-    assert enumerate_pruned(n) == []
-    assert len(prefixes) > 1
-    for F, T, m in prefixes:
-        cells = [None if t < 0 else (f, t) for f, t in zip(F, T)]
-        assert m == max(max(c) for c in cells if c is not None)
-        known, forced = split_cells(cells)
-        assert _propagate(n, known, forced)
-        assert (known, forced) == (F, T)
-
-
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_finishing_a_prefix_leaves_its_layers_as_they_were(monkeypatch, n):
-    # the split hands its layers over without copying them, so finishing
-    # a prefix must write only into copies of its own
+    # the search finishes the root, the prefix with no decision taken,
+    # from the root's own layers, so it must write only into copies
     want = enumerate_pruned(n)
-    finish = enumeration._finish
-    tasks = []
+    real_root = enumeration._root
+    roots = []
 
-    def checked(task):
-        _, (F, T, _), _ = task
-        before = F[:], T[:]
-        result = finish(task)
-        assert (F, T) == before
-        tasks.append(task)
-        return result
+    def root(n):
+        roots.append(real_root(n))
+        return roots[-1]
 
-    monkeypatch.setattr(enumeration, "_finish", checked)
+    monkeypatch.setattr(enumeration, "_root", root)
     assert enumerate_pruned(n) == want
-    assert len(tasks) > 1
+    assert roots == [real_root(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetry_broken_search_matches_row_major(n):
-    want = oracles.row_major_tables(n)
-    assert enumerate_pruned(n, workers=1) == want
-    assert enumerate_pruned(n, workers=2) == want
+    assert enumerate_pruned(n) == oracles.row_major_tables(n)
 
 
 def test_size_six_is_every_relabelling_of_three_classes():
-    tables = enumerate_pruned(6, workers=2)
+    tables = enumerate_pruned(6)
     assert tables == sorted(size_six_tables(), key=lambda t: t.entries)
 
 
 def test_representatives_are_canonical_forms():
     # the first table of a complete sorted orbit is its canonical form
     for n in range(1, 7):
-        report = count_up_to_iso(n, workers=2 if n == 6 else 1)
+        report = count_up_to_iso(n)
         assert report.class_count == expected_count(n)
         for rep in report.representatives:
             assert canonical_form(rep) == rep
@@ -657,16 +490,20 @@ def test_every_table_has_a_fixed_point_where_the_search_starts(rng):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_the_search_emits_only_tables_with_the_fixed_point(monkeypatch, n):
-    emitted = []
-    finish = enumeration._finish
+    # every node appends to the list its caller passed, and the root call
+    # from `_orbits` returns last, so that list holds every emitted table
+    outs = []
+    search = enumeration._search
 
-    def spy(task):
-        tables, nodes = finish(task)
-        emitted.extend(tables)
-        return tables, nodes
+    def spy(*args):
+        nodes = search(*args)
+        outs.append(args[-1])
+        return nodes
 
-    monkeypatch.setattr(enumeration, "_finish", spy)
+    monkeypatch.setattr(enumeration, "_search", spy)
     assert count_up_to_iso(n).raw_count == RAW_COUNTS[n]
+    emitted = outs[-1]
+    assert all(out is emitted for out in outs)
     assert emitted and all(cells[0] == (0, 0) for cells in emitted)
 
 
@@ -684,18 +521,16 @@ def test_search_nodes_at_size_five(capsys):
     assert results["search_nodes"] == 1098
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_search_nodes_at_size_six(workers):
+def test_search_nodes_at_size_six():
     # from the empty table 4,962, and there 6,308 reading the second half
     # one way only, 9,726 in the static cell order, 957,188 with forced
     # cells alone
-    assert count_up_to_iso(6, workers=workers).nodes == 3495
+    assert count_up_to_iso(6).nodes == 3495
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_size_seven_is_one_class(workers):
+def test_size_seven_is_one_class():
     # an odd size has one class, (n, 0, 0)
-    report = count_up_to_iso(7, workers=workers)
+    report = count_up_to_iso(7)
     assert (report.raw_count, report.class_count) == (1, 1)
     assert report.class_triples == ((7, 0, 0),)
     # from the empty table 11,000, and there 14,164 reading the second
@@ -729,13 +564,13 @@ def test_cells_with_a_known_first_coordinate_mention_no_new_element(
         passed += ok
         return ok
 
-    def spy(n, F, T, order, pos, m, *rest, **kwargs):
+    def spy(n, F, T, order, pos, m, *rest):
         nonlocal calls
         calls += 1
         for c in range(n * n):
             if F[c] >= 0 > T[c]:
                 assert max(divmod(c, n)) <= m, (F, T, m, c)
-        return search(n, F, T, order, pos, m, *rest, **kwargs)
+        return search(n, F, T, order, pos, m, *rest)
 
     monkeypatch.setattr(enumeration, "_search", spy)
     monkeypatch.setattr(enumeration, "_propagate", counted)
@@ -803,9 +638,16 @@ def test_report_shape():
     )
 
 
-def test_reports_are_equal_across_worker_counts():
-    # a report holds only what the search determines, no timings
-    assert count_up_to_iso(5) == count_up_to_iso(5, workers=2)
+def test_reports_are_equal_across_worker_counts(capsys):
+    # a report holds only what the search determines, no timings, so two
+    # runs compare equal, and the CLI reports it unchanged under --workers 2
+    report = count_up_to_iso(5)
+    assert count_up_to_iso(5) == report
+    assert run(["--json", "enumerate", "--size", "5", "--up-to-iso",
+                "--workers", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["raw_count"], results["search_nodes"]) == (
+        report.raw_count, report.nodes)
 
 
 def test_canonical_form_is_orbit_invariant(rng):

@@ -37,18 +37,20 @@ def test_every_traced_module_imports():
 
 
 def test_tracer_reads_workers_by_position_and_by_keyword():
-    # the tracer reads `workers` of enumerate_pruned(n, budget_ms, workers)
-    # at index 2, so that parameter must keep its position
+    # the tracer looks for `workers` at index 2 or by keyword; the search
+    # takes (n, budget_ms) only, so every call it sees records its
+    # default of 1, by position and by keyword alike
     params = inspect.signature(enumeration.enumerate_pruned).parameters
-    assert list(params)[2] == "workers"
+    assert list(params) == ["n", "budget_ms"]
     facts = SPANS["_facts"]
     name = "enumeration.enumerate_pruned"
-    assert facts(name, (4, None, 2), {}, [])["workers"] == 2
-    assert facts(name, (4,), {"workers": 2}, [])["workers"] == 2
+    assert facts(name, (4,), {}, [])["workers"] == 1
+    assert facts(name, (4, None), {}, [])["workers"] == 1
+    assert facts(name, (4,), {"budget_ms": 1000}, [])["workers"] == 1
 
 
-def test_module_entry_point_runs_the_worker_pool(capsys):
-    # a real interpreter runs __main__.py, and --workers 2 starts a real helper
+def test_module_entry_point_runs_the_cli(capsys):
+    # a real interpreter runs __main__.py with the same results as `run`
     argv = ["--json", "enumerate", "--size", "4", "--up-to-iso", "--workers", "2"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
@@ -169,7 +171,10 @@ def test_expression_builders_are_reached_by_name(monkeypatch):
 
 
 def test_the_package_imports_only_the_standard_library():
-    # absolute imports only: relative ones stay inside the package
+    # absolute imports only: relative ones stay inside the package.  Every
+    # command runs in the calling process, so nothing that starts another
+    # process or thread is imported, at the top or inside a function
+    starters = {"multiprocessing", "subprocess", "threading", "concurrent"}
     for path in sorted((ROOT / "src" / "pentagon").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -182,6 +187,7 @@ def test_the_package_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "pentagon", (
                     path.name, name)
+                assert top not in starters, (path.name, name)
 
 
 def test_only_core_knows_the_row_format():
