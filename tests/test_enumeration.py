@@ -521,14 +521,24 @@ def test_search_nodes_at_size_five(capsys):
     assert results["search_nodes"] == 1098
 
 
-def test_search_nodes_at_size_six():
+def up_to_iso_results(capsys, n, workers):
+    """The results `--json enumerate --size n --up-to-iso --workers w` prints."""
+    assert run(["--json", "enumerate", "--size", str(n), "--up-to-iso",
+                "--workers", str(workers)]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_search_nodes_at_size_six(capsys, workers):
     # from the empty table 4,962, and there 6,308 reading the second half
     # one way only, 9,726 in the static cell order, 957,188 with forced
-    # cells alone
+    # cells alone; --workers leaves the one search as it is
     assert count_up_to_iso(6).nodes == 3495
+    assert up_to_iso_results(capsys, 6, workers)["search_nodes"] == 3495
 
 
-def test_size_seven_is_one_class():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_size_seven_is_one_class(capsys, workers):
     # an odd size has one class, (n, 0, 0)
     report = count_up_to_iso(7)
     assert (report.raw_count, report.class_count) == (1, 1)
@@ -536,6 +546,10 @@ def test_size_seven_is_one_class():
     # from the empty table 11,000, and there 14,164 reading the second
     # half one way only, 28,606 in the static cell order
     assert report.nodes == 8025
+    results = up_to_iso_results(capsys, 7, workers)
+    assert (results["raw_count"], results["class_count"],
+            results["class_triples"], results["search_nodes"]) == (
+        1, 1, [[7, 0, 0]], 8025)
 
 
 # raw tables and class triples at sizes 1..7, as the search in the
