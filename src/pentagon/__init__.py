@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .core import (
     Bijection,
     BudgetError,
-    MultTable,
     SolutionTable,
     ValidationError,
     check_bijective,
@@ -36,15 +35,12 @@ from .constructors import (
     decomposition_solution,
     direct_product_group,
     endo_solution,
-    ext_solution,
     group_from_cayley,
     group_solution,
     identity_solution,
     idempotent_pair_solution,
     irretractable_solution,
     sigma_search,
-    trivial_group,
-    trivial_sigma,
     xor_group,
 )
 from .analysis import (

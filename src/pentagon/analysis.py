@@ -8,7 +8,7 @@ n^3 axiom checks, whose messages name the law that fails.  An involutive
 solution without one contradicts the classification theorem, and raises
 too.  `classify` is the certificate's shape; `retract` reads its classes
 off its a-coordinates.  Rows are the `derive_tables` rows, composed and
-packed by `core` in its one row format; no `MultTable` is built.
+packed by `core` in its one row format; no caller table is re-checked.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from math import factorial, inf, lcm, lgamma, log
 from typing import Optional, Sequence
 
 from .core import (
-    MultTable,
+    Rows,
     SolutionTable,
     ValidationError,
     associativity_witness,
@@ -37,16 +37,24 @@ class GroupTable:
     exponent: int
 
 
+def _square_rows(rows: Sequence[Sequence[int]], name: str) -> Rows:
+    """A caller's table of a binary operation on 0..n-1 as rows, checked
+    non-empty, square and in range; `name` names the table in the errors."""
+    table = tuple(tuple(r) for r in rows)
+    n = len(table)
+    if n < 1:
+        raise ValidationError("carrier size must be at least 1")
+    if any(len(r) != n for r in table):
+        raise ValidationError(f"{name} is not square")
+    if any(not 0 <= v < n for r in table for v in r):
+        raise ValidationError(f"{name} entry out of range")
+    return table
+
+
 def group_from_cayley(rows: Sequence[Sequence[int]]) -> GroupTable:
     """Validate a Cayley table and package it; names the failing axiom."""
-    n = len(rows)
-    if n < 1:
-        raise ValidationError("group must have at least one element")
-    cayley = tuple(tuple(r) for r in rows)
-    if any(len(r) != n for r in cayley):
-        raise ValidationError("Cayley table is not square")
-    if any(not 0 <= v < n for r in cayley for v in r):
-        raise ValidationError("Cayley table entry out of range")
+    cayley = _square_rows(rows, "Cayley table")
+    n = len(cayley)
 
     identity = None
     for e in range(n):
@@ -69,10 +77,6 @@ def group_from_cayley(rows: Sequence[Sequence[int]]) -> GroupTable:
     # the order of a is the order of right multiplication by a
     exponent = lcm(*(perm_order([row[a] for row in cayley]) for a in range(n)))
     return GroupTable(n, cayley, identity, exponent)
-
-
-def trivial_group() -> GroupTable:
-    return group_from_cayley([[0]])
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -128,10 +132,6 @@ class SigmaMap:
                 )
 
 
-def trivial_sigma(x_size: int, a_dim: int) -> SigmaMap:
-    return SigmaMap(x_size, a_dim, (tuple(range(x_size)),) * (1 << a_dim))
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Shape (x_size, a_dim, g_dim) of a carrier X x A x G, with optional sigma."""
@@ -180,14 +180,6 @@ def irretractable_solution(dim: int) -> SolutionTable:
     return SolutionTable(n, tuple((x, x ^ y) for x in range(n) for y in range(n)))
 
 
-def ext_solution(dec: Decomposition) -> SolutionTable:
-    """Extension of the bitmask solution on A by X and sigma: the
-    decomposition_solution with g_dim == 0, the only shape it accepts."""
-    if dec.g_dim != 0:
-        raise ValidationError("extension requires g_dim == 0")
-    return decomposition_solution(dec)
-
-
 def canonical_solution(x_size: int, a_dim: int, g_dim: int) -> SolutionTable:
     """The representative of class (x_size, a_dim, g_dim), row-major over (x, a, g).
 
@@ -202,13 +194,13 @@ def decomposition_solution(dec: Decomposition) -> SolutionTable:
     s((x,a,g),(y,b,h)) = ((x, a, g^h), (sigma_{a^b} sigma_b^{-1}(y), a^b, h)),
     with the trivial sigma when dec.sigma is None.
     """
-    sigma = dec.sigma or trivial_sigma(dec.x_size, dec.a_dim)
     ad, gd = dec.a_dim, dec.g_dim
     xs, am, gm = range(dec.x_size), range(1 << ad), range(1 << gd)
-    inverses = [inverse_perm(p) for p in sigma.perms]
+    perms = dec.sigma.perms if dec.sigma else (tuple(xs),) * (1 << ad)
+    inverses = [inverse_perm(p) for p in perms]
     # theta_(x,a,g) depends on a alone: one row over (y, b, h) per a
     thetas = [
-        [(sigma.perms[a ^ b][inverses[b][y]] << ad | a ^ b) << gd | h
+        [(perms[a ^ b][inverses[b][y]] << ad | a ^ b) << gd | h
          for y in xs for b in am for h in gm]
         for a in am
     ]
@@ -220,13 +212,15 @@ def decomposition_solution(dec: Decomposition) -> SolutionTable:
     )))
 
 
-def endo_solution(m: MultTable, f: Sequence[int]) -> SolutionTable:
-    """s(x, y) = (xy, f(y)) for an idempotent endomorphism f of a semigroup."""
-    n = m.size
+def endo_solution(rows: Sequence[Sequence[int]], f: Sequence[int]) -> SolutionTable:
+    """s(x, y) = (xy, f(y)) for an idempotent endomorphism f of a semigroup
+    whose multiplication is given as rows, ``rows[x][y] == xy``."""
+    mul = _square_rows(rows, "multiplication table")
+    n = len(mul)
     fm = tuple(f)
     if len(fm) != n or any(not 0 <= v < n for v in fm):
         raise ValidationError("f is not a total map on the carrier")
-    bad = associativity_witness(m.rows)
+    bad = associativity_witness(mul)
     if bad is not None:
         raise ValidationError(
             "multiplication is not associative at (%d,%d,%d)" % bad
@@ -235,10 +229,10 @@ def endo_solution(m: MultTable, f: Sequence[int]) -> SolutionTable:
         raise ValidationError("f is not idempotent")
     for x in range(n):
         for y in range(n):
-            if fm[m.rows[x][y]] != m.rows[fm[x]][fm[y]]:
+            if fm[mul[x][y]] != mul[fm[x]][fm[y]]:
                 raise ValidationError("f is not an endomorphism")
     return SolutionTable(
-        n, tuple(cell for row in m.rows for cell in zip(row, fm))
+        n, tuple(cell for row in mul for cell in zip(row, fm))
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -63,25 +64,6 @@ class SolutionTable:
 
 
 @dataclass(frozen=True)
-class MultTable:
-    """A caller's semigroup table, ``rows[i][j] == i * j``, checked once.
-
-    The library's own first coordinates are plain `derive_tables` rows."""
-
-    size: int
-    rows: Rows
-
-    def __post_init__(self):
-        n = self.size
-        if n < 1:
-            raise ValidationError("carrier size must be at least 1")
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise ValidationError("multiplication table has wrong shape")
-        if any(not 0 <= v < n for r in self.rows for v in r):
-            raise ValidationError("multiplication table entry out of range")
-
-
-@dataclass(frozen=True)
 class Bijection:
     """A permutation of 0..n-1 given by its image sequence."""
 
@@ -90,16 +72,6 @@ class Bijection:
     def __post_init__(self):
         if sorted(self.images) != list(range(len(self.images))):
             raise ValidationError("images do not form a permutation")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def apply(self, i: int) -> int:
-        return self.images[i]
-
-    def inverse(self) -> "Bijection":
-        return Bijection(inverse_perm(self.images))
 
 
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)
@@ -299,13 +271,11 @@ def is_morphism(f: Sequence[int], s: SolutionTable, t: SolutionTable) -> bool:
         raise ValidationError("map is not total on the source carrier")
     if any(not 0 <= v < t.size for v in images):
         raise ValidationError("map image out of range for the target carrier")
-    n = s.size
-    for i in range(n):
-        for j in range(n):
-            k, l = s.apply(i, j)
-            if t.apply(images[i], images[j]) != (images[k], images[l]):
-                return False
-    return True
+    m, te = t.size, t.entries
+    return all(
+        te[a * m + b] == (images[k], images[l])
+        for (a, b), (k, l) in zip(product(images, repeat=2), s.entries)
+    )
 
 
 # ---------------------------------------------------------------------------

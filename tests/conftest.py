@@ -8,11 +8,10 @@ from pentagon import (
     canonical_solution,
     cycle_solution,
     cyclic_group,
-    ext_solution,
+    decomposition_solution,
     group_solution,
     identity_solution,
     irretractable_solution,
-    trivial_group,
     xor_group,
 )
 from pentagon.constructors import Decomposition, SigmaMap
@@ -38,7 +37,7 @@ def small_involutive_panel():
         canonical_solution(2, 1, 0),
         canonical_solution(1, 1, 1),
         canonical_solution(3, 1, 1),
-        ext_solution(Decomposition(2, 1, 0, sigma)),
+        decomposition_solution(Decomposition(2, 1, 0, sigma)),
     ]
 
 
@@ -57,7 +56,7 @@ def bijective_finite_order_panel():
         group_solution(cyclic_group(3)),
         group_solution(cyclic_group(4)),
         cycle_solution((3, 0, 1, 2), cyclic_group(2)),
-        cycle_solution((1, 0, 3, 2), trivial_group()),
+        cycle_solution((1, 0, 3, 2), cyclic_group(1)),
     ] + small_involutive_panel()
 
 

@@ -40,7 +40,6 @@ from typing import Optional, Sequence
 
 from pentagon import (
     GroupTable,
-    MultTable,
     RetractResult,
     SolutionTable,
     ValidationError,
@@ -564,12 +563,12 @@ def symmetric_group(n: int) -> GroupTable:
     return group_from_cayley(rows)
 
 
-def is_associative(m: MultTable) -> bool:
-    return associativity_failure_oracle(m.rows) is None
+def is_associative(rows: Sequence[Sequence[int]]) -> bool:
+    return associativity_failure_oracle(rows) is None
 
 
-def idempotents(m: MultTable) -> tuple[int, ...]:
-    return tuple(x for x in range(m.size) if m.rows[x][x] == x)
+def idempotents(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    return tuple(x for x, row in enumerate(rows) if row[x] == x)
 
 
 def _theta_rows(s: SolutionTable) -> list:
@@ -630,13 +629,15 @@ class LeftGroupDecomposition:
     group_part: GroupTable
 
 
-def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
-    """Split a left group as idempotents x group, None if m is not one."""
-    if not is_associative(m):
+def left_group_decomposition(
+    rows: Sequence[Sequence[int]],
+) -> Optional[LeftGroupDecomposition]:
+    """Split a left group, given by its multiplication rows, as idempotents x
+    group; None if the rows are not one."""
+    if not is_associative(rows):
         raise ValidationError("multiplication is not associative")
-    n = m.size
-    rows = m.rows
-    idem = idempotents(m)
+    n = len(rows)
+    idem = idempotents(rows)
     # left simple: Sx = S for every x
     full = set(range(n))
     for x in range(n):
@@ -657,12 +658,12 @@ def left_group_decomposition(m: MultTable) -> Optional[LeftGroupDecomposition]:
     return LeftGroupDecomposition(idem, group)
 
 
-def check_simple(m: MultTable) -> bool:
-    """Whether every two-sided ideal of the semigroup is everything."""
-    if not is_associative(m):
+def check_simple(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every two-sided ideal of the semigroup with these
+    multiplication rows is everything."""
+    if not is_associative(rows):
         raise ValidationError("multiplication is not associative")
-    n = m.size
-    rows = m.rows
+    n = len(rows)
     for y in range(n):
         ideal = {y}
         frontier = [y]

@@ -24,7 +24,6 @@ from pentagon import (
     direct_product_group,
     enumerate_pruned,
     estimate_growth_degree,
-    ext_solution,
     find_isomorphism,
     group_solution,
     growth_series,
@@ -34,7 +33,6 @@ from pentagon import (
     rank_expected,
     retract,
     sigma_search,
-    trivial_group,
     xor_group,
 )
 from pentagon.constructors import Decomposition, SigmaMap
@@ -144,7 +142,7 @@ def test_criterion_5_order_formula():
     with criterion(5, "cycle-family order equals lcm(order of sigma, exponent of G)"):
         t0 = time.perf_counter()
         groups = [
-            trivial_group(),
+            cyclic_group(1),
             cyclic_group(2),
             direct_product_group(cyclic_group(2), cyclic_group(2)),
             cyclic_group(4),
@@ -178,7 +176,7 @@ def _retraction_panel(rng):
             rng.shuffle(p)
             perms.append(tuple(p))
         panel.append(
-            ext_solution(
+            decomposition_solution(
                 Decomposition(x_size, a_dim, 0, SigmaMap(x_size, a_dim, tuple(perms)))
             )
         )
@@ -212,7 +210,7 @@ def test_criterion_6_retraction_suite(rng):
                 p = list(range(x_size))
                 rng.shuffle(p)
                 perms.append(tuple(p))
-            s = ext_solution(
+            s = decomposition_solution(
                 Decomposition(x_size, a_dim, 0, SigmaMap(x_size, a_dim, tuple(perms)))
             )
             quotient = retract(s).quotient

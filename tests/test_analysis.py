@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pentagon import (
-    Bijection,
     BudgetError,
-    MultTable,
     SolutionTable,
     ValidationError,
     canonical_solution,
@@ -23,7 +21,7 @@ from pentagon import (
     decompose,
     decomposition_solution,
     derive_tables,
-    ext_solution,
+    endo_solution,
     find_isomorphism,
     group_solution,
     identity_solution,
@@ -35,7 +33,7 @@ from pentagon import (
     retract,
     retract_tower,
 )
-from pentagon import analysis, core
+from pentagon import analysis, constructors, core
 from pentagon.cli import run
 from pentagon.constructors import Decomposition, SigmaMap
 
@@ -46,9 +44,9 @@ from conftest import (
 )
 import oracles
 
-LEFT_ZERO_4 = MultTable(4, tuple((i,) * 4 for i in range(4)))
-NULL_2 = MultTable(2, ((0, 0), (0, 0)))
-NOT_ASSOC = MultTable(3, ((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+LEFT_ZERO_4 = tuple((i,) * 4 for i in range(4))
+NULL_2 = ((0, 0), (0, 0))
+NOT_ASSOC = ((0, 1, 2), (1, 2, 0), (2, 1, 0))
 
 
 def test_retract_of_irretractable_is_itself():
@@ -66,7 +64,7 @@ def test_retract_of_identity_collapses():
 
 
 def test_retract_of_extension_is_bitmask_solution():
-    res = retract(ext_solution(Decomposition(3, 1, 0)))
+    res = retract(decomposition_solution(Decomposition(3, 1, 0)))
     assert res.quotient == irretractable_solution(1)
 
 
@@ -166,7 +164,7 @@ def test_is_irretractable():
 
 
 def test_retract_tower_examples():
-    assert retract_tower(ext_solution(Decomposition(2, 1, 0))) == [4, 2, 2]
+    assert retract_tower(decomposition_solution(Decomposition(2, 1, 0))) == [4, 2, 2]
     assert retract_tower(irretractable_solution(1)) == [2, 2]
     assert retract_tower(canonical_solution(3, 1, 1)) == [12, 2, 2]
 
@@ -239,26 +237,26 @@ def test_classify_splits_the_table_once(monkeypatch):
 def test_analysis_builds_no_mult_table(monkeypatch):
     # derive_tables hands out plain rows: SolutionTable has checked them
     checked = []
-    real = MultTable.__post_init__
+    real = constructors._square_rows
 
-    def spy(self):
-        checked.append(self.size)
-        real(self)
+    def spy(rows, name):
+        checked.append(len(rows))
+        return real(rows, name)
 
-    monkeypatch.setattr(MultTable, "__post_init__", spy)
+    monkeypatch.setattr(constructors, "_square_rows", spy)
     s = canonical_solution(3, 1, 1)
     classify(s)
     retract(s)
     t = canonical_solution(2, 1, 1)
     assert find_isomorphism(t, relabel(t, (7, 6, 5, 4, 3, 2, 1, 0))) is not None
     assert checked == []
-    MultTable(1, ((0,),))  # a caller's table is still checked
+    endo_solution(((0,),), (0,))  # a caller's table is still checked
     assert checked == [1]
 
 
 def test_left_group_decomposition_examples():
     mult, _ = derive_tables(canonical_solution(3, 1, 1))
-    dec = oracles.left_group_decomposition(MultTable(12, mult))
+    dec = oracles.left_group_decomposition(mult)
     assert dec is not None
     assert len(dec.idempotents) == 6
     assert dec.group_part.size == 2
@@ -268,7 +266,7 @@ def test_left_group_decomposition_examples():
     assert len(dec.idempotents) == 4
     assert dec.group_part.size == 1
 
-    c3 = MultTable(3, tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
+    c3 = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))
     dec = oracles.left_group_decomposition(c3)
     assert dec.idempotents == (0,)
     assert dec.group_part.size == 3
@@ -278,7 +276,7 @@ def test_left_group_decomposition_examples():
 def test_left_group_decomposition_counts_multiply():
     for s in small_involutive_panel():
         mult, _ = derive_tables(s)
-        dec = oracles.left_group_decomposition(MultTable(s.size, mult))
+        dec = oracles.left_group_decomposition(mult)
         assert dec is not None
         assert len(dec.idempotents) * dec.group_part.size == s.size
 
@@ -291,7 +289,7 @@ def test_left_group_decomposition_negative():
 
 def test_check_simple():
     assert oracles.check_simple(LEFT_ZERO_4)
-    c2 = MultTable(2, ((0, 1), (1, 0)))
+    c2 = ((0, 1), (1, 0))
     assert oracles.check_simple(c2)
     assert not oracles.check_simple(NULL_2)
     with pytest.raises(ValidationError):
@@ -304,12 +302,12 @@ def test_simple_for_bijective_finite_order_solutions():
 
     for s in bijective_finite_order_panel():
         mult, _ = derive_tables(s)
-        assert oracles.check_simple(MultTable(s.size, mult))
+        assert oracles.check_simple(mult)
     for n in (1, 2, 3, 4):
         for s in enumerate_pruned(n):
             assert order_of(s) is not None
             mult, _ = derive_tables(s)
-            assert oracles.check_simple(MultTable(s.size, mult))
+            assert oracles.check_simple(mult)
 
 
 def test_classify_examples():
@@ -335,7 +333,7 @@ def test_classify_rejects_non_involutive():
 
 def test_is_isomorphic_invariant():
     sigma = SigmaMap(2, 1, ((0, 1), (1, 0)))
-    twisted = ext_solution(Decomposition(2, 1, 0, sigma))
+    twisted = decomposition_solution(Decomposition(2, 1, 0, sigma))
     assert is_isomorphic_invariant(twisted, canonical_solution(2, 1, 0))
     assert not is_isomorphic_invariant(
         irretractable_solution(1), canonical_solution(1, 0, 1)
@@ -346,7 +344,7 @@ def test_is_isomorphic_invariant():
 
 def test_find_isomorphism_on_extension_pair():
     sigma = SigmaMap(2, 1, ((0, 1), (1, 0)))
-    twisted = ext_solution(Decomposition(2, 1, 0, sigma))
+    twisted = decomposition_solution(Decomposition(2, 1, 0, sigma))
     plain = canonical_solution(2, 1, 0)
     f = find_isomorphism(twisted, plain)
     assert f is not None
@@ -647,7 +645,7 @@ def test_decompose_certifies_every_twisted_relabelled_shape_up_to_64():
         assert retract(s) == expected, (x, a, g)
         assert expected.quotient.size == 1 << a
         mul, _ = derive_tables(s)
-        lg = oracles.left_group_decomposition(MultTable(s.size, mul))
+        lg = oracles.left_group_decomposition(mul)
         assert lg.group_part.size == 1 << g
 
 
@@ -731,7 +729,7 @@ def test_find_isomorphism_matches_brute_force(rng):
 def test_idempotents_are_squares_and_right_identities():
     for s in small_involutive_panel():
         mult, _ = derive_tables(s)
-        idem = set(oracles.idempotents(MultTable(s.size, mult)))
+        idem = set(oracles.idempotents(mult))
         squares = {mult[x][x] for x in range(s.size)}
         assert idem == squares
         for e in idem:
@@ -746,7 +744,7 @@ def test_theta_on_left_zero_carrier_is_identity_or_fixed_point_free(rng):
             p = list(range(x_size))
             rng.shuffle(p)
             perms.append(tuple(p))
-        s = ext_solution(Decomposition(x_size, a_dim, 0, SigmaMap(x_size, a_dim, tuple(perms))))
+        s = decomposition_solution(Decomposition(x_size, a_dim, 0, SigmaMap(x_size, a_dim, tuple(perms))))
         assert check_bijective(s)
         _, thf = derive_tables(s)
         n = s.size
@@ -760,9 +758,3 @@ def test_theta_on_left_zero_carrier_is_identity_or_fixed_point_free(rng):
 def test_is_associative():
     assert oracles.is_associative(LEFT_ZERO_4)
     assert not oracles.is_associative(NOT_ASSOC)
-
-
-def test_bijection_inverse():
-    b = Bijection((2, 0, 1))
-    assert b.inverse().images == (1, 2, 0)
-    assert b.apply(0) == 2

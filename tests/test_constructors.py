@@ -4,7 +4,6 @@ from math import factorial
 import pytest
 
 from pentagon import (
-    MultTable,
     SolutionTable,
     ValidationError,
     canonical_solution,
@@ -18,7 +17,6 @@ from pentagon import (
     derive_tables,
     direct_product_group,
     endo_solution,
-    ext_solution,
     flip_conjugate,
     group_from_cayley,
     group_solution,
@@ -28,7 +26,6 @@ from pentagon import (
     order_of,
     product_solution,
     sigma_search,
-    trivial_group,
     xor_group,
 )
 from pentagon.analysis import classify, find_isomorphism, retract
@@ -36,7 +33,6 @@ from pentagon.constructors import (
     Decomposition,
     SigmaMap,
     sigma_condition_witness,
-    trivial_sigma,
 )
 from pentagon.core import perm_order
 
@@ -124,7 +120,7 @@ def test_order_of_group_solution_equals_exponent():
 def test_group_solution_entries():
     s = group_solution(cyclic_group(2))
     assert s.apply(1, 1) == (0, 1)
-    assert group_solution(trivial_group()) == identity_solution(1)
+    assert group_solution(cyclic_group(1)) == identity_solution(1)
 
 
 def test_group_solution_c4():
@@ -152,13 +148,13 @@ def test_irretractable_solution_classify():
     assert (triple.x_size, triple.a_dim, triple.g_dim) == (1, 2, 0)
 
 
-def test_ext_trivial_sigma_on_one_point_is_bitmask_solution():
-    assert ext_solution(Decomposition(1, 1, 0)) == irretractable_solution(1)
+def test_ext_untwisted_on_one_point_is_bitmask_solution():
+    assert decomposition_solution(Decomposition(1, 1, 0)) == irretractable_solution(1)
 
 
 def test_ext_with_twist():
     sigma = SigmaMap(2, 1, ((0, 1), (1, 0)))
-    s = ext_solution(Decomposition(2, 1, 0, sigma))
+    s = decomposition_solution(Decomposition(2, 1, 0, sigma))
     assert check_pentagon(s)
     assert check_involutive(s)
     assert retract(s).quotient.size == 2
@@ -166,22 +162,20 @@ def test_ext_with_twist():
 
 def test_ext_twisted_is_isomorphic_to_untwisted():
     sigma = SigmaMap(2, 1, ((0, 1), (1, 0)))
-    twisted = ext_solution(Decomposition(2, 1, 0, sigma))
-    plain = ext_solution(Decomposition(2, 1, 0))
+    twisted = decomposition_solution(Decomposition(2, 1, 0, sigma))
+    plain = decomposition_solution(Decomposition(2, 1, 0))
     assert find_isomorphism(twisted, plain) is not None
 
 
 def test_ext_rejects_bad_dimensions():
     with pytest.raises(ValidationError):
         Decomposition(2, 1, 0, SigmaMap(3, 1, ((0, 1, 2), (0, 1, 2))))
-    with pytest.raises(ValidationError):
-        ext_solution(Decomposition(2, 1, 1))
 
 
 def test_ext_equals_product_with_identity_block():
     for x_size in (1, 2, 3):
         for a_dim in (0, 1, 2):
-            plain = ext_solution(Decomposition(x_size, a_dim, 0))
+            plain = decomposition_solution(Decomposition(x_size, a_dim, 0))
             via_product = product_solution(
                 identity_solution(x_size), irretractable_solution(a_dim)
             )
@@ -238,7 +232,7 @@ def test_decomposition_solution_matches_the_formula(rng):
         want = oracles.decomposition_oracle(x, a, g, perms)
         assert decomposition_solution(Decomposition(x, a, g, sigma)) == want
         if g == 0:
-            assert ext_solution(Decomposition(x, a, 0, sigma)) == want
+            assert decomposition_solution(Decomposition(x, a, 0, sigma)) == want
         identity = [tuple(range(x))] * (1 << a)
         assert canonical_solution(x, a, g) == oracles.decomposition_oracle(
             x, a, g, identity
@@ -262,7 +256,7 @@ def test_construct_then_verify_all_shapes_up_to_16(rng):
         assert check_pentagon(s)
         assert check_involutive(s)
     for x, a in [(x, a) for x in range(1, 17) for a in range(5) if x << a <= 16]:
-        s = ext_solution(Decomposition(x, a, 0))
+        s = decomposition_solution(Decomposition(x, a, 0))
         assert check_pentagon(s)
         assert check_involutive(s)
     for x, a in [(2, 1), (3, 1), (2, 2), (4, 1), (1, 3)]:
@@ -271,7 +265,7 @@ def test_construct_then_verify_all_shapes_up_to_16(rng):
             p = list(range(x))
             rng.shuffle(p)
             perms.append(tuple(p))
-        s = ext_solution(Decomposition(x, a, 0, SigmaMap(x, a, tuple(perms))))
+        s = decomposition_solution(Decomposition(x, a, 0, SigmaMap(x, a, tuple(perms))))
         assert check_pentagon(s)
         assert check_involutive(s)
 
@@ -307,7 +301,7 @@ def _endo_panel():
         n = len(r)
         for f in _idempotents(n):
             if all(f[r[x][y]] == r[f[x]][f[y]] for x in range(n) for y in range(n)):
-                panel.append((MultTable(n, r), f))
+                panel.append((r, f))
     return panel
 
 
@@ -323,7 +317,7 @@ def test_every_family_matches_its_formula_cell_by_cell(rng):
     for g in groups:
         assert group_solution(g) == _table(g.size, lambda x, y: (g.cayley[x][y], y))
     for m, f in _endo_panel():
-        want = _table(m.size, lambda x, y: (m.rows[x][y], f[y]))
+        want = _table(len(m), lambda x, y: (m[x][y], f[y]))
         assert endo_solution(m, f) == want
     for n in (1, 2, 3):
         idempotents = _idempotents(n)
@@ -335,7 +329,7 @@ def test_every_family_matches_its_formula_cell_by_cell(rng):
     for n in range(1, 7):
         for sigma in sigma_search(n):
             powers = [oracles.perm_power(sigma, i + 1) for i in range(n)]
-            for g in (trivial_group(), cyclic_group(2), xor_group(1)):
+            for g in (cyclic_group(1), cyclic_group(2), xor_group(1)):
                 ng = g.size
 
                 def cell(i, j):
@@ -366,7 +360,7 @@ def test_every_family_matches_its_formula_cell_by_cell(rng):
 
 
 def _c2_mult():
-    return MultTable(2, derive_tables(group_solution(cyclic_group(2)))[0])
+    return derive_tables(group_solution(cyclic_group(2)))[0]
 
 
 def test_endo_solution_constant_at_identity():
@@ -382,17 +376,37 @@ def test_endo_solution_identity_map_is_group_solution():
 
 
 def test_endo_solution_left_zero_carrier():
-    left_zero = MultTable(2, ((0, 0), (1, 1)))
+    left_zero = ((0, 0), (1, 1))
     assert endo_solution(left_zero, (0, 1)) == identity_solution(2)
 
 
 def test_endo_solution_rejects_bad_input():
     with pytest.raises(ValidationError, match="associative"):
-        endo_solution(MultTable(3, ((0, 1, 2), (1, 2, 0), (2, 1, 0))), (0, 1, 2))
+        endo_solution(((0, 1, 2), (1, 2, 0), (2, 1, 0)), (0, 1, 2))
     with pytest.raises(ValidationError, match="idempotent"):
         endo_solution(_c2_mult(), (1, 0))
     with pytest.raises(ValidationError, match="endomorphism"):
         endo_solution(_c2_mult(), (1, 1))
+
+
+def test_endo_solution_takes_plain_rows_and_checks_them():
+    # the multiplication is the caller's rows, a list of lists here, checked
+    # by the same shape and range checks as a Cayley table
+    assert endo_solution([[0, 1], [1, 0]], [0, 1]) == group_solution(cyclic_group(2))
+    for build, name in (
+        (lambda rows: endo_solution(rows, [0] * len(rows)), "multiplication table"),
+        (group_from_cayley, "Cayley table"),
+    ):
+        for rows, message in (
+            ([[0, 1], [1]], f"{name} is not square"),
+            ([[0], [0]], f"{name} is not square"),
+            ([], "carrier size must be at least 1"),
+            ([[0, 2], [1, 0]], f"{name} entry out of range"),
+            ([[0, -1], [1, 0]], f"{name} entry out of range"),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                build(rows)
+            assert str(exc.value) == message
 
 
 def test_idempotent_pair_identity_maps():
@@ -427,11 +441,11 @@ def test_cycle_solution_concrete():
 
 
 def test_cycle_solution_trivial():
-    assert cycle_solution((0,), trivial_group()) == identity_solution(1)
+    assert cycle_solution((0,), cyclic_group(1)) == identity_solution(1)
 
 
 def test_cycle_solution_involution_case():
-    s = cycle_solution((1, 0, 3, 2), trivial_group())
+    s = cycle_solution((1, 0, 3, 2), cyclic_group(1))
     assert check_pentagon(s)
     assert check_involutive(s)
     assert check_reversed_pentagon(s)
@@ -450,7 +464,7 @@ def test_cycle_solution_rejects_bad_sigma():
 def test_cycle_order_formula():
     for n in (1, 2, 3, 4):
         for sigma in sigma_search(n):
-            for g in (trivial_group(), cyclic_group(2), cyclic_group(4)):
+            for g in (cyclic_group(1), cyclic_group(2), cyclic_group(4)):
                 s = cycle_solution(sigma, g)
                 expected = _lcm(perm_order(sigma), g.exponent)
                 assert order_of(s) == expected
@@ -469,7 +483,7 @@ def test_cycle_rpe_iff_involution_and_exponent_two():
     for n in (1, 2, 3, 4, 5):
         for sigma in sigma_search(n):
             sigma_involutive = oracles.perm_power(sigma, 2) == tuple(range(n))
-            for g in (trivial_group(), cyclic_group(2), cyclic_group(4)):
+            for g in (cyclic_group(1), cyclic_group(2), cyclic_group(4)):
                 s = cycle_solution(sigma, g)
                 expected = sigma_involutive and g.exponent <= 2
                 assert check_reversed_pentagon(s) == expected
@@ -503,7 +517,7 @@ def test_sigma_condition_members_give_pe_and_rest_fail(rng):
     for n in (3, 4):
         good = set(sigma_search(n))
         for sigma in good:
-            assert check_pentagon(cycle_solution(sigma, trivial_group()))
+            assert check_pentagon(cycle_solution(sigma, cyclic_group(1)))
         bad = [p for p in all_perms(range(n)) if p not in good]
         rng.shuffle(bad)
         for sigma in bad[:6]:
@@ -555,9 +569,3 @@ def test_sigma_search_is_bounded_by_its_output():
     for n in (18, 10**6, 10**18):
         with pytest.raises(ValidationError, match="exceeds the cap"):
             sigma_search(n)
-
-
-def test_trivial_sigma_shape():
-    sig = trivial_sigma(3, 2)
-    assert len(sig.perms) == 4
-    assert all(p == (0, 1, 2) for p in sig.perms)
